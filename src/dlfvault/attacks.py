@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import BadArguments, NotInGroup
 from .field import PrimeField
-from .vault import DEFAULT_MAX_SUBSETS, Vault, _subset_search
+from .vault import DEFAULT_MAX_SUBSETS, Vault, message_decoder, subset_search
 
 _MASK64 = (1 << 64) - 1
 
@@ -173,8 +173,8 @@ def brute_force_unlock_attack(vault: Vault, key_file=None,
     segments, which can only succeed against classical vaults; with it,
     this measures how little the chaff alone protects.
     """
-    candidates = sorted(vault.points)
-    message, tried = _subset_search(vault, candidates, key_file, max_subsets)
+    message, tried = subset_search(vault.params, sorted(vault.points), vault.coeff_count,
+                                   message_decoder(vault, key_file), max_subsets)
     return BruteForceResult(succeeded=message is not None, subsets_tried=tried,
                             message=message)
 

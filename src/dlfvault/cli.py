@@ -25,21 +25,13 @@ import sys
 from .attacks import attack_report, brute_force_unlock_attack, sweep_csv
 from .dlog_codec import KeyFile
 from .errors import (
-    BadArguments,
-    BadLength,
     ChaffSpaceExhausted,
     DecodeFailed,
     FuzzyVaultError,
-    InvalidLockingSet,
-    KeyKindMismatch,
     LockingSetTooSmall,
     MalformedFile,
-    MalformedFrame,
     MessageTooLarge,
     NotEnoughMatches,
-    NotInGroup,
-    SignatureMismatch,
-    WrongCount,
 )
 from .field import gen_params, params_from_file, params_to_file
 from .framing import DEFAULT_SEG_BITS
@@ -55,6 +47,18 @@ EXIT_CHAFF = 5
 EXIT_NO_MATCHES = 6
 EXIT_DECODE = 7
 EXIT_REJECT = 8
+
+# resolved along the raised exception's MRO, so the most specific entry wins
+_EXIT_CODES = {
+    LockingSetTooSmall: EXIT_LOCKING_SET,
+    MessageTooLarge: EXIT_TOO_LARGE,
+    ChaffSpaceExhausted: EXIT_CHAFF,
+    NotEnoughMatches: EXIT_NO_MATCHES,
+    DecodeFailed: EXIT_DECODE,
+    FuzzyVaultError: EXIT_USAGE,
+    ValueError: EXIT_USAGE,
+    OSError: EXIT_IO,
+}
 
 _SCHEMES = {
     "classical": Scheme.CLASSICAL,
@@ -275,29 +279,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except LockingSetTooSmall as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LOCKING_SET
-    except MessageTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except ChaffSpaceExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHAFF
-    except NotEnoughMatches as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_MATCHES
-    except DecodeFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DECODE
-    except (MalformedFile, MalformedFrame, SignatureMismatch, BadLength,
-            InvalidLockingSet, KeyKindMismatch, WrongCount, BadArguments,
-            NotInGroup, FuzzyVaultError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
 
 if __name__ == "__main__":

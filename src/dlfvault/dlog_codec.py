@@ -81,10 +81,14 @@ def encode_segment(params: PrimeField, m_i: int, key: EphemeralKey, index: int) 
     return params.mul(m_i % params.p, mult)
 
 
+def inverse_power(params: PrimeField, exponent: int) -> int:
+    """(alpha^exponent)^-1, the multiplier every decoding map applies."""
+    return params.inv(params.pow(params.alpha, exponent))
+
+
 def decode_segment(params: PrimeField, beta_i: int, key: EphemeralKey, index: int) -> int:
     """Exact inverse of encode_segment at the same index."""
-    mult = params.pow(params.alpha, key_exponent(key, index))
-    return params.mul(beta_i % params.p, params.inv(mult))
+    return params.mul(beta_i % params.p, inverse_power(params, key_exponent(key, index)))
 
 
 def encode_whole(params: PrimeField, framed: bytes, key: EphemeralKey) -> int:
@@ -102,7 +106,13 @@ def encode_whole(params: PrimeField, framed: bytes, key: EphemeralKey) -> int:
 
 def decode_whole(params: PrimeField, beta: int, key: EphemeralKey, framed_len: int) -> bytes:
     """Invert encode_whole and re-serialize to the recorded framed length."""
-    value = params.mul(beta % params.p, params.inv(params.pow(params.alpha, key.kappa)))
+    return unmask_whole(params, beta, inverse_power(params, key.kappa), framed_len)
+
+
+def unmask_whole(params: PrimeField, beta: int, inverse: int, framed_len: int) -> bytes:
+    """decode_whole with the inverse power already computed, so a caller
+    trying many candidate betas under one key pays the inversion once."""
+    value = params.mul(beta % params.p, inverse)
     try:
         return value.to_bytes(framed_len, "big")
     except OverflowError:

@@ -55,7 +55,7 @@ class KeyKindMismatch(FuzzyVaultError):
 
 # vault layer
 
-class InvalidLockingSet(FuzzyVaultError):
+class InvalidLockingSet(FuzzyVaultError, ValueError):
     pass
 
 

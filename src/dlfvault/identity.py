@@ -13,23 +13,21 @@ tail region is caught by the division check; corruption confined to the
 kappa region decodes to a wrong exponent but still reports Accept, which
 is exactly the binding the scheme promises: the identity, not the
 secret, is what cannot be swapped.
+
+The vault roundtrip runs on the same vault core as the prime-field
+schemes, over GF(2^16) with delta = 0, so matching is exact and the
+checksum is the accept test of the subset search.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from ._wire import take
-from .errors import (
-    ChaffSpaceExhausted,
-    LockingSetTooSmall,
-    MalformedFile,
-    NotEnoughMatches,
-    WrongCount,
-)
+from .errors import MalformedFile, NotEnoughMatches, SignatureMismatch, WrongCount
 from .field import GF16_REDUCTION_POLY, binary_field
-from .polynomial import crc16_remainder, eval_poly, lagrange_interpolate
+from .polynomial import crc16_remainder
+from .vault import DEFAULT_MAX_SUBSETS, nearest_points, place_points, subset_search
 
 # X^16 + X^15 + X^2 + 1
 CRC16_GENERATOR = 0x18005
@@ -124,52 +122,30 @@ def identity_from_bytes(data: bytes) -> tuple[list[int], int]:
     return coeffs, reduction
 
 
+def _accept(coeffs: list[int]) -> tuple[int, int]:
+    decoded = decode_identity(coeffs)
+    if decoded is None:
+        raise SignatureMismatch("identity checksum does not divide")
+    return decoded
+
+
 def identity_vault_roundtrip(record: IdentityRecord, locking_set, chaff_count: int,
                              seed: int, unlocking_set=None) -> bool:
-    """Embed the record in an exact-match GF(2^16) vault and decode it back.
+    """Embed the record in a GF(2^16) vault and decode it back.
 
-    Genuine points evaluate the coefficient polynomial on the locking
-    set; chaff lands on distinct x off the polynomial. Matching is exact
-    (no tolerance) since biometric-style noise does not apply to the
-    16-bit identity field. True only when the decoder accepts and
-    returns the original kappa and id.
+    The vault core places genuine points and chaff at delta = 0: matching
+    is exact, since biometric-style noise does not apply to the 16-bit
+    identity field. Subsets of the matches are searched until the
+    checksum accepts one. True only when that record carries the
+    original kappa and id.
     """
     gf = binary_field()
-    if len(locking_set) < COEFF_COUNT:
-        raise LockingSetTooSmall(
-            f"{COEFF_COUNT} coefficients need at least that many locking elements")
-    xs = set()
-    for a in locking_set:
-        if not 0 <= a < gf.size:
-            raise ValueError(f"locking element {a} is outside GF(2^16)")
-        xs.add(a)
-    if len(xs) != len(locking_set):
-        raise ValueError("locking set elements must be distinct")
-
     coeffs = encode_identity(record.kappa128, record.id64)
-    points = [(a, eval_poly(gf, coeffs, a)) for a in locking_set]
-    rng = random.Random(seed)
-    for k in range(chaff_count):
-        for _ in range(1000):
-            u = rng.randrange(gf.size)
-            if u not in xs:
-                break
-        else:
-            raise ChaffSpaceExhausted(f"no free x left for chaff point {k + 1}")
-        xs.add(u)
-        on_poly = eval_poly(gf, coeffs, u)
-        v = rng.randrange(gf.size - 1)
-        if v >= on_poly:
-            v += 1
-        points.append((u, v))
-    rng.shuffle(points)
-
+    points, _ = place_points(gf, coeffs, locking_set, chaff_count, 0, seed)
     probes = locking_set if unlocking_set is None else unlocking_set
-    by_x = {x: (x, y) for x, y in points}
-    matched = sorted(by_x[b] for b in set(probes) if b in by_x)
+    matched = nearest_points(points, 0, probes)
     if len(matched) < COEFF_COUNT:
         raise NotEnoughMatches(
             f"{len(matched)} exact matches cannot determine {COEFF_COUNT} coefficients")
-    recovered = lagrange_interpolate(gf, matched[:COEFF_COUNT], COEFF_COUNT)
-    decoded = decode_identity(recovered)
+    decoded, _ = subset_search(gf, matched, COEFF_COUNT, _accept, DEFAULT_MAX_SUBSETS)
     return decoded == (record.kappa128, record.id64)

@@ -1,7 +1,9 @@
 """Fuzzy vault core: locking a message under a set, tolerance matching,
 subset-search unlocking, and the vault file format.
 
-A vault is r points over F_p. The t genuine ones sit on the locking
+A vault is r points over a field: F_p for the four schemes here,
+GF(2^16) for identity binding, which reuses place_points, nearest_points
+and subset_search. The t genuine ones sit on the locking
 polynomial whose coefficients carry the (optionally encrypted) framed
 message; the rest are chaff placed off the polynomial. All x coordinates
 keep a pairwise integer distance greater than 2*delta so that a probe
@@ -29,7 +31,9 @@ from .dlog_codec import (
     encode_segment,
     encode_whole,
     gen_key,
+    inverse_power,
     key_exponent,
+    unmask_whole,
 )
 from .errors import (
     BadLength,
@@ -142,12 +146,12 @@ def _subseed(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _validate_locking_set(locking_set, p, delta):
+def _validate_locking_set(locking_set, size, delta):
     for a in locking_set:
         if not isinstance(a, int):
             raise InvalidLockingSet(f"locking set element {a!r} is not an integer")
-        if not 0 <= a < p:
-            raise InvalidLockingSet(f"locking set element {a} is outside [0, p)")
+        if not 0 <= a < size:
+            raise InvalidLockingSet(f"locking set element {a} is outside [0, {size})")
     ordered = sorted(locking_set)
     for prev, cur in zip(ordered, ordered[1:]):
         if cur - prev <= 2 * delta:
@@ -155,31 +159,38 @@ def _validate_locking_set(locking_set, p, delta):
                 f"locking set elements {prev} and {cur} are within 2*delta = {2 * delta}")
 
 
-def _split_chunks(value: int, count: int, seg_bits: int) -> list[int]:
-    mask = (1 << seg_bits) - 1
-    return [(value >> (seg_bits * (count - 1 - i))) & mask for i in range(count)]
-
-
-def _join_chunks(chunks: list[int], seg_bits: int) -> int:
-    value = 0
-    for c in chunks:
-        if not 0 <= c < 1 << seg_bits:
-            raise BadLength(f"chunk does not fit in {seg_bits} bits")
-        value = value << seg_bits | c
-    return value
-
-
 def _lock_coefficients(framed, scheme, params, seg_bits, key):
     """Map framed bytes to the coefficient list; returns (coeffs, framed_len)."""
+    if scheme is Scheme.WHOLE_MESSAGE:
+        beta = encode_whole(params, framed, key)
+        count = -(-params.p_bits // seg_bits)
+        return framing.segment(beta.to_bytes(count * seg_bits // 8, "big"), seg_bits), len(framed)
+    segments = framing.segment(framed, seg_bits)
     if scheme is Scheme.CLASSICAL:
-        return framing.segment(framed, seg_bits), 0
-    if scheme in (Scheme.PER_SEGMENT, Scheme.PARITY):
-        segments = framing.segment(framed, seg_bits)
-        return [encode_segment(params, s, key, i)
-                for i, s in enumerate(segments, start=1)], 0
-    beta = encode_whole(params, framed, key)
-    count = -(-params.p_bits // seg_bits)
-    return _split_chunks(beta, count, seg_bits), len(framed)
+        return segments, 0
+    return [encode_segment(params, s, key, i) for i, s in enumerate(segments, start=1)], 0
+
+
+def place_points(field, coeffs, locking_set, chaff_count, delta, seed):
+    """The vault of Juels and Sudan over any field with add/sub/mul/inv/size.
+
+    Validates the locking set, evaluates the coefficient polynomial on
+    it, adds chaff_count off-polynomial points, and scrambles the order.
+    Returns (points, genuine_mask).
+    """
+    _validate_locking_set(locking_set, field.size, delta)
+    if len(locking_set) < len(coeffs):
+        raise LockingSetTooSmall(
+            f"{len(coeffs)} coefficients need at least that many locking elements, "
+            f"got {len(locking_set)}")
+    genuine = [(a, eval_poly(field, coeffs, a)) for a in locking_set]
+    chaff = _generate_chaff(field, coeffs, sorted(locking_set), chaff_count,
+                            delta, random.Random(_subseed(seed, "chaff")))
+    points = genuine + chaff
+    mask = [True] * len(genuine) + [False] * len(chaff)
+    order = list(range(len(points)))
+    random.Random(_subseed(seed, "scramble")).shuffle(order)
+    return [points[i] for i in order], [mask[i] for i in order]
 
 
 def lock(message: bytes, locking_set, scheme: Scheme, params: PrimeField,
@@ -188,10 +199,9 @@ def lock(message: bytes, locking_set, scheme: Scheme, params: PrimeField,
     """Lock message bytes under the locking set.
 
     Frames the message, maps it to polynomial coefficients per the
-    scheme, evaluates the polynomial on every locking set element, then
-    adds chaff_count off-polynomial points and scrambles the order. All
-    randomness flows from seed. Returns the vault together with the key
-    file that unlocking will need.
+    scheme, then hands them to place_points. All randomness flows from
+    seed. Returns the vault together with the key file that unlocking
+    will need.
     """
     if seg_bits > params.p_bits - 1:
         raise BadLength(
@@ -200,40 +210,27 @@ def lock(message: bytes, locking_set, scheme: Scheme, params: PrimeField,
         raise ValueError("chaff_count must be non-negative")
     if delta < 0:
         raise ValueError("delta must be non-negative")
-    _validate_locking_set(locking_set, params.p, delta)
+    # place_points validates again; checking here reports a bad set
+    # before any framing or encoding error
+    _validate_locking_set(locking_set, params.size, delta)
 
     key = gen_key(params, _SCHEME_KEY_KIND[scheme], _subseed(seed, "key"))
     framed = framing.frame(message, seg_bits)
     coeffs, framed_len = _lock_coefficients(framed, scheme, params, seg_bits, key)
-    if len(locking_set) < len(coeffs):
-        raise LockingSetTooSmall(
-            f"{len(coeffs)} coefficients need at least that many locking elements, "
-            f"got {len(locking_set)}")
-
-    genuine = [(a, eval_poly(params, coeffs, a)) for a in locking_set]
-    chaff = _generate_chaff(params, coeffs, sorted(locking_set), chaff_count,
-                            delta, random.Random(_subseed(seed, "chaff")))
-
-    points = genuine + chaff
-    mask = [True] * len(genuine) + [False] * len(chaff)
-    order = list(range(len(points)))
-    random.Random(_subseed(seed, "scramble")).shuffle(order)
-
+    points, mask = place_points(params, coeffs, locking_set, chaff_count, delta, seed)
     vault = Vault(params=params, scheme=scheme, coeff_count=len(coeffs),
-                  seg_bits=seg_bits, delta=delta,
-                  points=[points[i] for i in order],
-                  genuine_mask=[mask[i] for i in order])
+                  seg_bits=seg_bits, delta=delta, points=points, genuine_mask=mask)
     return vault, KeyFile(key=key, framed_len=framed_len)
 
 
-def _generate_chaff(params, coeffs, taken_xs, count, delta, rng):
+def _generate_chaff(field, coeffs, taken_xs, count, delta, rng):
     """count points (u, v) with v != P(u), every x gap above 2*delta."""
     gap = 2 * delta
     xs = list(taken_xs)
     chaff = []
     for _ in range(count):
         for _ in range(_CHAFF_ATTEMPTS):
-            u = rng.randrange(params.p)
+            u = rng.randrange(field.size)
             i = bisect_left(xs, u)
             if i < len(xs) and xs[i] - u <= gap:
                 continue
@@ -244,24 +241,25 @@ def _generate_chaff(params, coeffs, taken_xs, count, delta, rng):
             raise ChaffSpaceExhausted(
                 f"no room for chaff point {len(chaff) + 1} of {count} at gap > {gap}")
         insort(xs, u)
-        on_poly = eval_poly(params, coeffs, u)
-        # one draw from a (p - 1)-element range, shifted around P(u):
-        # uniform over F_p minus the polynomial value
-        v = rng.randrange(params.p - 1)
+        on_poly = eval_poly(field, coeffs, u)
+        # one draw from a (size - 1)-element range, shifted around P(u):
+        # uniform over the field minus the polynomial value
+        v = rng.randrange(field.size - 1)
         if v >= on_poly:
             v += 1
         chaff.append((u, v))
     return chaff
 
 
-def match_points(vault: Vault, unlocking_set) -> list[tuple[int, int]]:
-    """Vault points within delta of any probe, deduplicated, ordered by x.
+def nearest_points(points, delta, unlocking_set) -> list[tuple[int, int]]:
+    """Points within delta of any probe, deduplicated, ordered by x.
 
-    Distance is plain integer distance, no wraparound. The 2*delta gap
-    between vault x coordinates means each probe can match at most one
-    point, so nearest-point selection is unambiguous.
+    Distance is plain integer distance, no wraparound. place_points keeps
+    x coordinates more than 2*delta apart, so each probe can match at
+    most one point and nearest-point selection is unambiguous; delta = 0
+    is exact matching.
     """
-    ordered = sorted(vault.points)
+    ordered = sorted(points)
     xs = [x for x, _ in ordered]
     chosen = {}
     for b in unlocking_set:
@@ -272,9 +270,14 @@ def match_points(vault: Vault, unlocking_set) -> list[tuple[int, int]]:
                 d = abs(xs[j] - b)
                 if best is None or d < best[0]:
                     best = (d, j)
-        if best is not None and best[0] <= vault.delta:
+        if best is not None and best[0] <= delta:
             chosen[xs[best[1]]] = ordered[best[1]]
     return [chosen[x] for x in sorted(chosen)]
+
+
+def match_points(vault: Vault, unlocking_set) -> list[tuple[int, int]]:
+    """Vault points within vault.delta of any probe; see nearest_points."""
+    return nearest_points(vault.points, vault.delta, unlocking_set)
 
 
 def _check_key_kind(scheme, key_file):
@@ -284,9 +287,10 @@ def _check_key_kind(scheme, key_file):
         raise KeyKindMismatch(f"scheme {scheme.name} needs a {expected!r} key, got {actual!r}")
 
 
-def _decoder(vault, key_file):
+def message_decoder(vault, key_file):
     """Build coeffs -> message bytes for this vault and key; raises
-    BadLength / MalformedFrame / SignatureMismatch on a wrong candidate."""
+    BadLength / MalformedFrame / SignatureMismatch on a wrong candidate.
+    Inverse powers are computed once here, not once per candidate."""
     params = vault.params
     seg_bits = vault.seg_bits
     key = key_file.key if key_file is not None else EphemeralKey(KIND_NONE)
@@ -299,7 +303,7 @@ def _decoder(vault, key_file):
         return decode
 
     if vault.scheme in (Scheme.PER_SEGMENT, Scheme.PARITY):
-        inverse = [params.inv(params.pow(params.alpha, key_exponent(key, i)))
+        inverse = [inverse_power(params, key_exponent(key, i))
                    for i in range(1, vault.coeff_count + 1)]
 
         def decode(coeffs):
@@ -307,31 +311,27 @@ def _decoder(vault, key_file):
             return framing.deframe(framing.reassemble(segments, seg_bits))
         return decode
 
-    inverse = params.inv(params.pow(params.alpha, key.kappa))
-    framed_len = key_file.framed_len
+    inverse = inverse_power(params, key.kappa)
 
     def decode(coeffs):
-        beta = _join_chunks(coeffs, seg_bits)
-        value = params.mul(beta % params.p, inverse)
-        try:
-            framed = value.to_bytes(framed_len, "big")
-        except OverflowError:
-            raise BadLength("decoded value is wider than the recorded frame length") from None
-        return framing.deframe(framed)
+        beta = int.from_bytes(framing.reassemble(coeffs, seg_bits), "big")
+        return framing.deframe(unmask_whole(params, beta, inverse, key_file.framed_len))
     return decode
 
 
-def _subset_search(vault, candidates, key_file, max_subsets):
-    """Interpolate candidate subsets in lexicographic x order until one
-    decodes; returns (message or None, subsets tried)."""
-    n = vault.coeff_count
-    decode = _decoder(vault, key_file)
+def subset_search(field, candidates, coeff_count, decode, max_subsets):
+    """Interpolate candidate subsets in lexicographic x order until decode
+    accepts one; returns (decoded value or None, subsets tried).
+
+    decode raises BadLength, MalformedFrame or SignatureMismatch to
+    reject a candidate polynomial.
+    """
     tried = 0
-    for subset in itertools.combinations(candidates, n):
+    for subset in itertools.combinations(candidates, coeff_count):
         if tried == max_subsets:
             break
         tried += 1
-        coeffs = lagrange_interpolate(vault.params, list(subset), n)
+        coeffs = lagrange_interpolate(field, list(subset), coeff_count)
         try:
             return decode(coeffs), tried
         except (BadLength, MalformedFrame, SignatureMismatch):
@@ -352,7 +352,8 @@ def unlock(vault: Vault, unlocking_set, key_file: KeyFile | None = None,
     if len(candidates) < vault.coeff_count:
         raise NotEnoughMatches(
             f"{len(candidates)} matched points cannot determine {vault.coeff_count} coefficients")
-    message, tried = _subset_search(vault, candidates, key_file, max_subsets)
+    message, tried = subset_search(vault.params, candidates, vault.coeff_count,
+                                   message_decoder(vault, key_file), max_subsets)
     if message is None:
         raise DecodeFailed(f"no subset of {tried} tried produced a valid digest")
     return message

@@ -134,6 +134,18 @@ def test_vault_roundtrip_exact_match():
     assert identity_vault_roundtrip(rec, A17, chaff_count=25, seed=64)
 
 
+def test_vault_roundtrip_searches_past_chaff_hits():
+    # probing every field element matches both chaff points too; the
+    # subset search must reject the subsets holding them, not just
+    # interpolate the first 13 matches
+    rng = random.Random(68)
+    rec = make_identity_record(rng.randrange(1 << 128), rng.randrange(1 << 64))
+    A = rng.sample(range(1 << 16), 13)
+    for seed in range(20):
+        assert identity_vault_roundtrip(rec, A, chaff_count=2, seed=seed,
+                                        unlocking_set=range(1 << 16))
+
+
 def test_vault_roundtrip_partial_overlap_fails():
     rng = random.Random(65)
     rec = make_identity_record(rng.randrange(1 << 128), rng.randrange(1 << 64))

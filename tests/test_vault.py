@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -16,7 +17,7 @@ from dlfvault.errors import (
     NotEnoughMatches,
     WrongCount,
 )
-from dlfvault.field import PrimeField
+from dlfvault.field import PrimeField, params_to_file
 from dlfvault.framing import frame, segment
 from dlfvault.polynomial import eval_poly
 from dlfvault.vault import (
@@ -314,3 +315,26 @@ def test_whole_message_chunk_count(params256):
     assert vault.coeff_count == n
     assert key_file.framed_len == len(frame(b"", 16))
     assert unlock(vault, A, key_file) == b""
+
+
+# sha256 of params file + vault file + key file, recorded from the
+# original implementation; any change to point placement, chaff,
+# scrambling, coefficient mapping or serialization shows up here
+_GOLDEN = {
+    Scheme.CLASSICAL: "c415fbcfd73aad9dab8a74bd7e35088d1486d270382d8f289f3e779387f17bdd",
+    Scheme.PER_SEGMENT: "97d7265a4aa8545c817bee98d94fd5ce8ec1cf1260e89d4046d54aa7569ffc37",
+    Scheme.WHOLE_MESSAGE: "9b202aac64c8857efa1a9ef9edf0fc8e1a3c6f4c0c6575fb7b7b7367787126fe",
+    Scheme.PARITY: "2bb1f55bc4091cf41585021c28f9c604f4386370d733ef378b7ab0969f882b7e",
+}
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.name)
+def test_golden_bytes_for_fixed_seeds(params256, scheme):
+    rng = random.Random(90 + scheme)
+    A = spaced_set(rng, params256.p, 12, delta=3)
+    msg = rng.randbytes(6)
+    vault, key_file = lock(msg, A, scheme, params256, chaff_count=30, delta=3,
+                           seed=91 + scheme, seg_bits=32)
+    blob = params_to_file(params256) + vault.to_bytes() + key_file.to_bytes()
+    assert hashlib.sha256(blob).hexdigest() == _GOLDEN[scheme]
+    assert unlock(vault, A, key_file) == msg
