@@ -1,4 +1,5 @@
-"""Helpers for the length-prefixed big-endian integers used in the file formats."""
+"""Helpers shared by the file formats: the magic-and-version header, the
+end-of-data check, and length-prefixed big-endian integers."""
 
 import struct
 
@@ -31,3 +32,21 @@ def take(data: bytes, offset: int, count: int) -> tuple[bytes, int]:
     if offset + count > len(data):
         raise MalformedFile("truncated field")
     return data[offset:offset + count], offset + count
+
+
+def read_header(data: bytes, header: bytes) -> int:
+    """Check the 4-byte magic and 1-byte version every format opens with;
+    returns the offset just past them."""
+    magic, offset = take(data, 0, 4)
+    if magic != header[:4]:
+        raise MalformedFile(f"not a {header[:4].decode()} file")
+    version, offset = take(data, offset, 1)
+    if version != header[4:]:
+        raise MalformedFile(f"unsupported {header[:4].decode()} version {version[0]}")
+    return offset
+
+
+def check_end(data: bytes, offset: int, what: str) -> None:
+    """Reject anything left over once the record is fully parsed."""
+    if offset != len(data):
+        raise MalformedFile(f"trailing bytes after the {what}")

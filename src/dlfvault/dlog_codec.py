@@ -19,7 +19,7 @@ import random
 import struct
 from dataclasses import dataclass
 
-from ._wire import pack_lpint, unpack_lpint, take
+from ._wire import check_end, pack_lpint, read_header, take, unpack_lpint
 from .errors import BadLength, MalformedFile, MessageTooLarge
 from .field import PrimeField
 
@@ -30,8 +30,7 @@ KIND_NONE = "none"
 _KIND_CODES = {KIND_SINGLE: 0, KIND_PARITY: 1, KIND_NONE: 2}
 _KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
 
-_MAGIC = b"DLFK"
-_VERSION = 1
+_HEADER = b"DLFK\x01"
 
 
 @dataclass(frozen=True)
@@ -132,8 +131,7 @@ class KeyFile:
     framed_len: int = 0
 
     def to_bytes(self) -> bytes:
-        out = bytearray(_MAGIC)
-        out.append(_VERSION)
+        out = bytearray(_HEADER)
         out.append(_KIND_CODES[self.key.kind])
         if self.key.kind == KIND_SINGLE:
             out += pack_lpint(self.key.kappa)
@@ -145,13 +143,7 @@ class KeyFile:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "KeyFile":
-        magic, offset = take(data, 0, 4)
-        if magic != _MAGIC:
-            raise MalformedFile("not a key file")
-        version, offset = take(data, offset, 1)
-        if version[0] != _VERSION:
-            raise MalformedFile(f"unsupported key file version {version[0]}")
-        code, offset = take(data, offset, 1)
+        code, offset = take(data, read_header(data, _HEADER), 1)
         kind = _KIND_NAMES.get(code[0])
         if kind is None:
             raise MalformedFile(f"unknown key kind code {code[0]}")
@@ -165,7 +157,6 @@ class KeyFile:
         else:
             key = EphemeralKey(KIND_NONE)
         raw, offset = take(data, offset, 2)
-        if offset != len(data):
-            raise MalformedFile("trailing bytes after the key record")
+        check_end(data, offset, "key record")
         (framed_len,) = struct.unpack(">H", raw)
         return cls(key=key, framed_len=framed_len)

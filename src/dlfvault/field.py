@@ -1,18 +1,19 @@
 """Field arithmetic: the prime field F_p the vaults live in, safe-prime
-parameter generation, and a small GF(2^16) used by the identity binding.
+parameter generation, and the one GF(2^16) used by the identity binding.
 
 Prime-field elements are plain ints in [0, p); the field object carries p
 and a fixed primitive root alpha and exposes method arithmetic. GF(2^16)
-elements are ints in [0, 65536) interpreted as polynomials over GF(2).
+elements are ints in [0, 65536) interpreted as polynomials over GF(2),
+reduced mod the fixed polynomial x^16+x^5+x^3+x+1; there is no other
+choice of reduction.
 """
 
 from __future__ import annotations
 
 import random
-import struct
 from functools import lru_cache
 
-from ._wire import pack_lpint, unpack_lpint, take
+from ._wire import check_end, pack_lpint, read_header, unpack_lpint
 from .errors import BadFactorization, MalformedFile, ZeroInverse
 
 _MILLER_RABIN_ROUNDS = 64
@@ -185,25 +186,17 @@ def gen_params(bits: int, seed: int) -> PrimeField:
     return PrimeField(p, alpha)
 
 
-_PARAMS_MAGIC = b"DLFP"
-_PARAMS_VERSION = 1
+_PARAMS_HEADER = b"DLFP\x01"
 
 
 def params_to_file(field: PrimeField) -> bytes:
     """Standalone field-parameters file: magic, version, parameter block."""
-    return _PARAMS_MAGIC + bytes([_PARAMS_VERSION]) + field.to_bytes()
+    return _PARAMS_HEADER + field.to_bytes()
 
 
 def params_from_file(data: bytes) -> PrimeField:
-    magic, offset = take(data, 0, 4)
-    if magic != _PARAMS_MAGIC:
-        raise MalformedFile("not a field parameters file")
-    version, offset = take(data, offset, 1)
-    if version[0] != _PARAMS_VERSION:
-        raise MalformedFile(f"unsupported parameters version {version[0]}")
-    field, offset = PrimeField.read_from(data, offset)
-    if offset != len(data):
-        raise MalformedFile("trailing bytes after the parameter block")
+    field, offset = PrimeField.read_from(data, read_header(data, _PARAMS_HEADER))
+    check_end(data, offset, "parameter block")
     return field
 
 
@@ -214,8 +207,9 @@ def params_from_file(data: bytes) -> PrimeField:
 GF16_REDUCTION_POLY = 0x1002B
 
 
-def gf16_clmul(a: int, b: int, reduction: int = GF16_REDUCTION_POLY) -> int:
-    """Carry-less shift-and-xor product reduced mod the degree-16 polynomial."""
+def gf16_clmul(a: int, b: int) -> int:
+    """Carry-less shift-and-xor product reduced mod GF16_REDUCTION_POLY;
+    the reference the table arithmetic is tested against."""
     a &= 0xFFFF
     b &= 0xFFFF
     r = 0
@@ -225,62 +219,38 @@ def gf16_clmul(a: int, b: int, reduction: int = GF16_REDUCTION_POLY) -> int:
         b >>= 1
         a <<= 1
         if a & 0x10000:
-            a ^= reduction
-    return r
-
-
-def _pow_clmul(base, exponent, reduction):
-    r = 1
-    while exponent:
-        if exponent & 1:
-            r = gf16_clmul(r, base, reduction)
-        base = gf16_clmul(base, base, reduction)
-        exponent >>= 1
+            a ^= GF16_REDUCTION_POLY
     return r
 
 
 class BinaryField16:
-    """GF(2^16) with log/exp tables over a found multiplicative generator.
+    """GF(2^16) modulo GF16_REDUCTION_POLY, with log/exp tables over the
+    generator x + 1.
 
     Addition is xor. Multiplication and inversion go through the tables;
-    building them walks the full 65535-element orbit once, so share an
-    instance via binary_field() instead of constructing ad hoc.
+    building them walks the full 65535-element orbit once, so share the
+    instance from binary_field() instead of constructing ad hoc.
     """
 
     size = 1 << 16
-    # 65535 = 3 * 5 * 17 * 257
-    _ORDER_FACTORS = (3, 5, 17, 257)
+    reduction = GF16_REDUCTION_POLY
+    generator = 3  # x + 1
 
-    def __init__(self, reduction: int = GF16_REDUCTION_POLY):
-        if reduction.bit_length() != 17:
-            raise ValueError("reduction polynomial must have degree exactly 16")
-        self.reduction = reduction
-        self._build_tables()
-
-    def _generates(self, g):
+    def __init__(self):
         order = self.size - 1
-        if _pow_clmul(g, order, self.reduction) != 1:
-            return False
-        return all(_pow_clmul(g, order // f, self.reduction) != 1
-                   for f in self._ORDER_FACTORS)
-
-    def _build_tables(self):
-        order = self.size - 1
-        g = 2
-        while g < self.size and not self._generates(g):
-            g += 1
-        if g == self.size:
-            raise ValueError("no multiplicative generator; reduction polynomial is not irreducible")
         exp = [1] * order
         log = [0] * self.size
         acc = 1
         for i in range(order):
             exp[i] = acc
             log[acc] = i
-            acc = gf16_clmul(acc, g, self.reduction)
-        if acc != 1:
-            raise ValueError("generator orbit did not close; reduction polynomial is not irreducible")
-        self.generator = g
+            acc ^= acc << 1
+            if acc & 0x10000:
+                acc ^= GF16_REDUCTION_POLY
+        # x + 1 generates the multiplicative group exactly when its orbit
+        # first returns to 1 at step 65535; otherwise the tables are wrong
+        if acc != 1 or exp.count(1) != 1:
+            raise RuntimeError("x + 1 does not generate GF(2^16)*")
         self._exp = exp
         self._log = log
 
@@ -305,16 +275,13 @@ class BinaryField16:
             return 0 if exponent else 1
         return self._exp[self._log[base] * exponent % 65535]
 
-    def __repr__(self):
-        return f"BinaryField16(reduction={self.reduction:#x})"
-
 
 @lru_cache(maxsize=None)
-def binary_field(reduction: int = GF16_REDUCTION_POLY) -> BinaryField16:
-    """Shared BinaryField16 instance; table construction runs once per reduction."""
-    return BinaryField16(reduction)
+def binary_field() -> BinaryField16:
+    """The shared BinaryField16 instance; its tables are built once."""
+    return BinaryField16()
 
 
 def gf16_mul(a: int, b: int) -> int:
-    """Product in the default GF(2^16)."""
+    """Product in GF(2^16)."""
     return binary_field().mul(a, b)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._wire import take
+from ._wire import check_end, read_header, take
 from .errors import MalformedFile, NotEnoughMatches, SignatureMismatch, WrongCount
 from .field import GF16_REDUCTION_POLY, binary_field
 from .polynomial import crc16_remainder
@@ -39,8 +39,8 @@ CRC_BITS = 16
 IDC_BITS = ID_BITS + CRC_BITS          # the checked tail
 RECORD_BITS = KAPPA_BITS + IDC_BITS    # 208 = 13 * 16
 
-_MAGIC = b"DLFI"
-_VERSION = 1
+_HEADER = b"DLFI\x01"
+_REDUCTION_BYTES = GF16_REDUCTION_POLY.to_bytes(4, "big")
 
 
 @dataclass(frozen=True)
@@ -91,35 +91,33 @@ def decode_identity(coeffs: list[int]) -> tuple[int, int] | None:
     return record >> IDC_BITS, idc >> CRC_BITS
 
 
-def identity_to_bytes(coeffs: list[int], reduction: int = GF16_REDUCTION_POLY) -> bytes:
-    """Identity coefficient file: magic, version, reduction polynomial, 13 u16."""
+def identity_to_bytes(coeffs: list[int]) -> bytes:
+    """Identity coefficient file: magic, version, the GF(2^16) reduction
+    polynomial as a u32, then 13 u16."""
     if len(coeffs) != COEFF_COUNT:
         raise WrongCount(f"need exactly {COEFF_COUNT} coefficients, got {len(coeffs)}")
-    out = bytearray(_MAGIC)
-    out.append(_VERSION)
-    out += reduction.to_bytes(4, "big")
+    out = bytearray(_HEADER + _REDUCTION_BYTES)
     for c in coeffs:
         out += c.to_bytes(2, "big")
     return bytes(out)
 
 
 def identity_from_bytes(data: bytes) -> tuple[list[int], int]:
-    """Parse an identity file, returning (coefficients, reduction polynomial)."""
-    magic, offset = take(data, 0, 4)
-    if magic != _MAGIC:
-        raise MalformedFile("not an identity file")
-    version, offset = take(data, offset, 1)
-    if version[0] != _VERSION:
-        raise MalformedFile(f"unsupported identity file version {version[0]}")
-    raw, offset = take(data, offset, 4)
-    reduction = int.from_bytes(raw, "big")
+    """Parse an identity file, returning (coefficients, reduction polynomial).
+
+    The field is fixed, so a file naming any reduction polynomial other
+    than GF16_REDUCTION_POLY is rejected.
+    """
+    raw, offset = take(data, read_header(data, _HEADER), 4)
+    if raw != _REDUCTION_BYTES:
+        raise MalformedFile(f"reduction polynomial {int.from_bytes(raw, 'big'):#x} "
+                            f"is not GF(2^16)'s {GF16_REDUCTION_POLY:#x}")
     coeffs = []
     for _ in range(COEFF_COUNT):
         raw, offset = take(data, offset, 2)
         coeffs.append(int.from_bytes(raw, "big"))
-    if offset != len(data):
-        raise MalformedFile("trailing bytes after the coefficients")
-    return coeffs, reduction
+    check_end(data, offset, "coefficients")
+    return coeffs, GF16_REDUCTION_POLY
 
 
 def _accept(coeffs: list[int]) -> tuple[int, int]:

@@ -21,7 +21,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field as dc_field
 
 from . import framing
-from ._wire import pack_lpint, unpack_lpint, take
+from ._wire import check_end, pack_lpint, read_header, take, unpack_lpint
 from .dlog_codec import (
     KIND_NONE,
     KIND_PARITY,
@@ -56,8 +56,7 @@ DEFAULT_MAX_SUBSETS = 100_000
 # consecutive placement failures tolerated before chaff generation gives up
 _CHAFF_ATTEMPTS = 1000
 
-_MAGIC = b"DLFV"
-_VERSION = 1
+_HEADER = b"DLFV\x01"
 
 
 class Scheme(enum.IntEnum):
@@ -95,8 +94,7 @@ class Vault:
     genuine_mask: list[bool] | None = dc_field(default=None, repr=False, compare=False)
 
     def to_bytes(self) -> bytes:
-        out = bytearray(_MAGIC)
-        out.append(_VERSION)
+        out = bytearray(_HEADER)
         out.append(int(self.scheme))
         out += struct.pack(">HH", self.seg_bits, self.coeff_count)
         out += pack_lpint(self.delta)
@@ -110,13 +108,10 @@ class Vault:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Vault":
-        magic, offset = take(data, 0, 4)
-        if magic != _MAGIC:
-            raise MalformedFile("not a vault file")
-        version, offset = take(data, offset, 1)
-        if version[0] != _VERSION:
-            raise MalformedFile(f"unsupported vault version {version[0]}")
-        code, offset = take(data, offset, 1)
+        """Parse a vault file. The points must keep what place_points
+        guarantees: every coordinate in [0, p) and x values more than
+        2*delta apart."""
+        code, offset = take(data, read_header(data, _HEADER), 1)
         try:
             scheme = Scheme(code[0])
         except ValueError:
@@ -133,8 +128,10 @@ class Vault:
             xb, offset = take(data, offset, width)
             yb, offset = take(data, offset, width)
             points.append((int.from_bytes(xb, "big"), int.from_bytes(yb, "big")))
-        if offset != len(data):
-            raise MalformedFile("trailing bytes after the point list")
+        check_end(data, offset, "point list")
+        if any(x >= params.p or y >= params.p for x, y in points):
+            raise MalformedFile("a vault point has a coordinate outside [0, p)")
+        _check_gaps([x for x, _ in points], delta, MalformedFile, "vault x values")
         return cls(params=params, scheme=scheme, coeff_count=coeff_count,
                    seg_bits=seg_bits, delta=delta, points=points)
 
@@ -152,11 +149,14 @@ def _validate_locking_set(locking_set, size, delta):
             raise InvalidLockingSet(f"locking set element {a!r} is not an integer")
         if not 0 <= a < size:
             raise InvalidLockingSet(f"locking set element {a} is outside [0, {size})")
-    ordered = sorted(locking_set)
+    _check_gaps(locking_set, delta, InvalidLockingSet, "locking set elements")
+
+
+def _check_gaps(xs, delta, error, what):
+    ordered = sorted(xs)
     for prev, cur in zip(ordered, ordered[1:]):
         if cur - prev <= 2 * delta:
-            raise InvalidLockingSet(
-                f"locking set elements {prev} and {cur} are within 2*delta = {2 * delta}")
+            raise error(f"{what} {prev} and {cur} are within 2*delta = {2 * delta}")
 
 
 def _lock_coefficients(framed, scheme, params, seg_bits, key):
@@ -280,7 +280,7 @@ def match_points(vault: Vault, unlocking_set) -> list[tuple[int, int]]:
     return nearest_points(vault.points, vault.delta, unlocking_set)
 
 
-def _check_key_kind(scheme, key_file):
+def check_key_kind(scheme, key_file):
     expected = _SCHEME_KEY_KIND[scheme]
     actual = key_file.key.kind if key_file is not None else KIND_NONE
     if actual != expected:
@@ -347,7 +347,7 @@ def unlock(vault: Vault, unlocking_set, key_file: KeyFile | None = None,
     of the matches are interpolated until the framed digest verifies.
     key_file may be omitted for classical vaults only.
     """
-    _check_key_kind(vault.scheme, key_file)
+    check_key_kind(vault.scheme, key_file)
     candidates = match_points(vault, unlocking_set)
     if len(candidates) < vault.coeff_count:
         raise NotEnoughMatches(

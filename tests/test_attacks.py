@@ -18,7 +18,7 @@ from dlfvault.attacks import (
     sweep_csv,
     _sample_distinct,
 )
-from dlfvault.errors import BadArguments, NotInGroup
+from dlfvault.errors import BadArguments, KeyKindMismatch, NotInGroup
 from dlfvault.field import PrimeField, gen_params
 from dlfvault.framing import frame
 from dlfvault.vault import Scheme, lock
@@ -156,6 +156,19 @@ def test_brute_force_dlog_vault_needs_key(params64):
     assert blind.subsets_tried == math.comb(n + 2, n)  # exhausted
     keyed = brute_force_unlock_attack(vault, key_file)
     assert keyed.succeeded and keyed.message == msg
+
+
+def test_brute_force_rejects_a_key_of_the_wrong_kind(params64):
+    # a parity key against a per-segment vault used to spend the whole
+    # budget and report failure, as if the vault had resisted the attack
+    rng = random.Random(77)
+    n = len(frame(b"kind", 16)) // 2
+    A = spaced_set(rng, params64.p, n, delta=0)
+    vault, _ = lock(b"kind", A, Scheme.PER_SEGMENT, params64, chaff_count=4,
+                    seed=78, seg_bits=16)
+    _, parity_key = lock(b"kind", A, Scheme.PARITY, params64, seed=79, seg_bits=16)
+    with pytest.raises(KeyKindMismatch):
+        brute_force_unlock_attack(vault, parity_key, max_subsets=200)
 
 
 def test_brute_force_respects_cap(params64):

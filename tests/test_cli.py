@@ -257,6 +257,15 @@ def test_identity_decode_rejects_corruption(tmp_path, capsys):
     assert "Reject" in capsys.readouterr().out
 
 
+def test_identity_decode_rejects_a_foreign_reduction(tmp_path):
+    out = tmp_path / "id.dlfi"
+    assert cli.main(["identity", "encode", "--kappa", "5", "--id", "6",
+                     "--out", str(out)]) == 0
+    data = out.read_bytes()
+    out.write_bytes(data[:5] + (0xFFFFFFFF).to_bytes(4, "big") + data[9:])
+    assert cli.main(["identity", "decode", "--in", str(out)]) == cli.EXIT_USAGE
+
+
 def test_identity_encode_range_error(tmp_path):
     rc = cli.main(["identity", "encode", "--kappa", "5", "--id",
                    str(1 << 64), "--out", str(tmp_path / "id.dlfi")])
@@ -303,6 +312,15 @@ def test_attack_vault_mode(tmp_path, capsys, field16):
     assert rc == 0
     printed = capsys.readouterr().out
     assert "succeeded=false" in printed
+
+
+def test_attack_vault_mode_rejects_a_key_of_the_wrong_kind(tmp_path, capsys, field16):
+    _, vault_path, _ = _locked_vault(tmp_path, field16, 916)
+    _, _, parity_key = _locked_vault(tmp_path, field16, 917, scheme="parity")
+    rc = cli.main(["attack", "--vault", str(vault_path), "--key", str(parity_key),
+                   "--max-subsets", "200"])
+    assert rc == cli.EXIT_USAGE
+    assert "succeeded" not in capsys.readouterr().out
 
 
 def test_attack_invalid_combo():

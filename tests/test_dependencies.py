@@ -1,0 +1,32 @@
+"""The package has no runtime dependencies, and these tests keep it so."""
+
+import ast
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_pyproject_declares_no_runtime_dependencies():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    declared = [line.strip() for line in text.splitlines()
+                if line.strip().startswith("dependencies")]
+    assert declared == ["dependencies = []"]
+
+
+def test_package_imports_only_the_standard_library():
+    sources = sorted((ROOT / "src" / "dlfvault").rglob("*.py"))
+    assert sources
+    foreign = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {module}" for module in modules
+                        if module.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []

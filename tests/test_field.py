@@ -5,7 +5,6 @@ import pytest
 from dlfvault.errors import BadFactorization, MalformedFile, ZeroInverse
 from dlfvault.field import (
     GF16_REDUCTION_POLY,
-    BinaryField16,
     PrimeField,
     binary_field,
     gen_params,
@@ -244,10 +243,3 @@ def test_gf16_pow():
 def test_gf16_generator_frozen():
     # the first generator above the trivial candidates for 0x1002b
     assert binary_field().generator == 3
-
-
-def test_gf16_rejects_wrong_degree():
-    with pytest.raises(ValueError):
-        BinaryField16(0x2B)
-    with pytest.raises(ValueError):
-        BinaryField16(0x20000 + 0x2B)

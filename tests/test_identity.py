@@ -120,6 +120,9 @@ def test_identity_file_malformed():
         identity_from_bytes(good[:-2])
     with pytest.raises(MalformedFile):
         identity_from_bytes(good + b"\x00")
+    for reduction in (0, 0x1002D, 0xFFFFFFFF):  # GF(2^16) is fixed at 0x1002B
+        with pytest.raises(MalformedFile):
+            identity_from_bytes(good[:5] + reduction.to_bytes(4, "big") + good[9:])
     with pytest.raises(WrongCount):
         identity_to_bytes([1, 2, 3])
 

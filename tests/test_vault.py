@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -289,6 +290,31 @@ def test_vault_malformed_files(params64):
         Vault.from_bytes(good[:-3])
     with pytest.raises(MalformedFile):
         Vault.from_bytes(good + b"\x00\x00")
+
+
+def test_vault_file_rejects_points_lock_never_places(params64):
+    # each tampered file loaded before from_bytes checked its points; the
+    # repeated x then made the brute-force attack raise DuplicateX partway
+    # through its subset search
+    delta = 2
+    A = spaced_set(random.Random(58), params64.p, 26, delta=delta)
+    vault, _ = lock(b"", A, Scheme.CLASSICAL, params64, chaff_count=3,
+                    delta=delta, seed=19, seg_bits=16)
+    assert Vault.from_bytes(vault.to_bytes()).points == vault.points
+    g0, g1 = [i for i, genuine in enumerate(vault.genuine_mask) if genuine][:2]
+    (x0, y0), (_, y1) = vault.points[g0], vault.points[g1]
+    p = params64.p
+    for index, point, reason in [
+        (g1, (x0, y1), "within 2\\*delta"),                  # repeated x
+        (g1, (x0 + 2 * delta, y1), "within 2\\*delta"),      # gap not above 2*delta
+        (g0, (x0 + p, y0), r"outside \[0, p\)"),             # x aliasing x0 mod p
+        (g0, (x0, p), r"outside \[0, p\)"),                  # y aliasing 0 mod p
+    ]:
+        points = list(vault.points)
+        points[index] = point
+        tampered = dataclasses.replace(vault, points=points).to_bytes()
+        with pytest.raises(MalformedFile, match=reason):
+            Vault.from_bytes(tampered)
 
 
 def test_verify_coefficients():
