@@ -2,7 +2,11 @@
 parameter generation, and the one GF(2^16) used by the identity binding.
 
 Prime-field elements are plain ints in [0, p); the field object carries p
-and a fixed primitive root alpha and exposes method arithmetic. GF(2^16)
+and a fixed primitive root alpha and exposes method arithmetic. A field
+read from bytes must be a safe prime p = 2q + 1 with alpha a primitive
+root; that is proven from the structure of p (Pocklington's criterion,
+one Miller-Rabin test on q) once per process, and later loads of the
+same (p, alpha) reuse the verdict. GF(2^16)
 elements are ints in [0, 65536) interpreted as polynomials over GF(2),
 reduced mod the fixed polynomial x^16+x^5+x^3+x+1; there is no other
 choice of reduction.
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from math import gcd
 
 from ._wire import check_end, pack_lpint, read_header, unpack_lpint
 from .errors import BadFactorization, MalformedFile, ZeroInverse
@@ -19,6 +24,8 @@ from .errors import BadFactorization, MalformedFile, ZeroInverse
 _MILLER_RABIN_ROUNDS = 64
 # below this bound primality is decided by trial division alone
 _TRIAL_DIVISION_BOUND = 1 << 20
+# distinct (p, alpha) pairs whose safety verdict is remembered per process
+_PROVEN_FIELDS = 64
 
 
 def _sieve(limit):
@@ -96,18 +103,37 @@ def is_primitive_root(candidate: int, p: int, factors: list[int]) -> bool:
     return all(pow(c, m // f, p) != 1 for f in distinct)
 
 
+@lru_cache(maxsize=_PROVEN_FIELDS)
+def _is_safe_field(p: int, alpha: int) -> bool:
+    """Whether p = 2q + 1 with q prime and alpha a primitive root mod p.
+
+    Pocklington's criterion for p - 1 = 2q: q prime, alpha^(p-1) = 1 and
+    gcd(alpha^2 - 1, p) = 1 prove p prime, because q > sqrt(p) - 1. So the
+    only Miller-Rabin test is the one on q. alpha^q = p - 1 gives
+    alpha^(p-1) = 1 and, once p is prime, excludes every order of alpha
+    below 2q. Memoised per (p, alpha), so a field is proven once per
+    process however often it is loaded.
+    """
+    if p % 2 == 0 or not 2 <= alpha <= p - 2:
+        return False
+    q = p // 2
+    return pow(alpha, q, p) == p - 1 and gcd(alpha * alpha - 1, p) == 1 and is_prime(q)
+
+
 class PrimeField:
     """F_p together with a fixed primitive root alpha.
 
-    Immutable once built; the constructor re-checks primality and the
-    alpha range so a field deserialized from untrusted bytes is safe to
-    compute in.
+    Immutable once built. The constructor is lenient: p must be prime and
+    alpha in [2, p - 2], which in-memory experiments with subgroups need.
+    A safe field passes on its cached certificate; any other falls back
+    to a Miller-Rabin test of p. read_from, the boundary for untrusted
+    bytes, demands the safe prime and the primitive root.
     """
 
     __slots__ = ("p", "alpha", "p_bits")
 
     def __init__(self, p: int, alpha: int):
-        if not is_prime(p):
+        if not (_is_safe_field(p, alpha) or is_prime(p)):
             raise ValueError(f"{p} is not prime")
         if not 2 <= alpha <= p - 2:
             raise ValueError("alpha must lie in [2, p - 2]")
@@ -153,10 +179,9 @@ class PrimeField:
     def read_from(cls, data: bytes, offset: int = 0) -> tuple["PrimeField", int]:
         p, offset = unpack_lpint(data, offset)
         alpha, offset = unpack_lpint(data, offset)
-        try:
-            return cls(p, alpha), offset
-        except ValueError as exc:
-            raise MalformedFile(str(exc)) from exc
+        if not _is_safe_field(p, alpha):
+            raise MalformedFile("parameter block is not a safe prime p with a primitive root alpha")
+        return cls(p, alpha), offset
 
 
 def gen_params(bits: int, seed: int) -> PrimeField:
@@ -164,9 +189,10 @@ def gen_params(bits: int, seed: int) -> PrimeField:
     and its smallest primitive root.
 
     p = 2q + 1 with q prime; candidates for q are drawn from a seeded rng,
-    filtered with single-round tests, then confirmed at full strength.
-    The smallest alpha works because safe primes have abundant primitive
-    roots.
+    filtered with single-round tests, then proven with the same
+    certificate every loaded field gets. For prime p, alpha^q is 1 or
+    p - 1, so the smallest alpha with alpha^q != 1 is the smallest
+    primitive root; safe primes have abundant ones.
     """
     if bits < 5:
         raise ValueError("no safe prime has fewer than 5 bits")
@@ -178,12 +204,11 @@ def gen_params(bits: int, seed: int) -> PrimeField:
         p = 2 * q + 1
         if not is_prime(p, rounds=1):
             continue
-        if is_prime(q) and is_prime(p):
-            break
-    alpha = 2
-    while not is_primitive_root(alpha, p, [2, q]):
-        alpha += 1
-    return PrimeField(p, alpha)
+        alpha = 2
+        while pow(alpha, q, p) == 1:
+            alpha += 1
+        if _is_safe_field(p, alpha):
+            return PrimeField(p, alpha)
 
 
 _PARAMS_HEADER = b"DLFP\x01"

@@ -108,9 +108,9 @@ class Vault:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Vault":
-        """Parse a vault file. The points must keep what place_points
-        guarantees: every coordinate in [0, p) and x values more than
-        2*delta apart."""
+        """Parse a vault file. The header must be one lock can write, and
+        the points must keep what place_points guarantees: every
+        coordinate in [0, p) and x values more than 2*delta apart."""
         code, offset = take(data, read_header(data, _HEADER), 1)
         try:
             scheme = Scheme(code[0])
@@ -129,6 +129,13 @@ class Vault:
             yb, offset = take(data, offset, width)
             points.append((int.from_bytes(xb, "big"), int.from_bytes(yb, "big")))
         check_end(data, offset, "point list")
+        if seg_bits <= 0 or seg_bits % 8 or seg_bits > params.p_bits - 1:
+            raise MalformedFile(f"{seg_bits}-bit segments do not fit a {params.p_bits}-bit field")
+        if not 0 < coeff_count <= count:
+            raise MalformedFile(f"coefficient count {coeff_count} is not in [1, {count}]")
+        if scheme is Scheme.WHOLE_MESSAGE and coeff_count != _whole_chunks(params, seg_bits):
+            raise MalformedFile(f"a whole-message vault has {_whole_chunks(params, seg_bits)} "
+                                f"coefficients, not {coeff_count}")
         if any(x >= params.p or y >= params.p for x, y in points):
             raise MalformedFile("a vault point has a coordinate outside [0, p)")
         _check_gaps([x for x, _ in points], delta, MalformedFile, "vault x values")
@@ -159,11 +166,16 @@ def _check_gaps(xs, delta, error, what):
             raise error(f"{what} {prev} and {cur} are within 2*delta = {2 * delta}")
 
 
+def _whole_chunks(params, seg_bits):
+    """Coefficients of a whole-message vault: p_bits split into seg_bits chunks."""
+    return -(-params.p_bits // seg_bits)
+
+
 def _lock_coefficients(framed, scheme, params, seg_bits, key):
     """Map framed bytes to the coefficient list; returns (coeffs, framed_len)."""
     if scheme is Scheme.WHOLE_MESSAGE:
         beta = encode_whole(params, framed, key)
-        count = -(-params.p_bits // seg_bits)
+        count = _whole_chunks(params, seg_bits)
         return framing.segment(beta.to_bytes(count * seg_bits // 8, "big"), seg_bits), len(framed)
     segments = framing.segment(framed, seg_bits)
     if scheme is Scheme.CLASSICAL:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dlfvault import cli
+from dlfvault._wire import pack_lpint
 from dlfvault.field import gen_params, params_from_file
 from helpers import spaced_set
 
@@ -218,6 +219,23 @@ def test_exit_code_bad_set_file(tmp_path, field16):
                    "--seed", "1", "--vault-out", str(tmp_path / "v.dlfv"),
                    "--key-out", str(tmp_path / "k.dlfk")])
     assert rc == cli.EXIT_USAGE
+
+
+def test_exit_code_params_file_not_a_safe_prime(tmp_path, capsys):
+    # 1021 is prime but (1021 - 1) / 2 = 510 is not, so it is no safe
+    # prime; the field is otherwise wide enough for this lock to succeed
+    params_path = tmp_path / "unsafe.dlfp"
+    params_path.write_bytes(b"DLFP\x01" + pack_lpint(1021) + pack_lpint(10))
+    (tmp_path / "m.bin").write_bytes(b"")
+    write_set(tmp_path / "set.txt", range(1, 1000, 20))
+    rc = cli.main(["lock", "--scheme", "classical", "--params", str(params_path),
+                   "--message", str(tmp_path / "m.bin"),
+                   "--set", str(tmp_path / "set.txt"), "--seg-bits", "8",
+                   "--seed", "1", "--vault-out", str(tmp_path / "v.dlfv"),
+                   "--key-out", str(tmp_path / "k.dlfk")])
+    assert rc == cli.EXIT_USAGE
+    assert "safe prime" in capsys.readouterr().err
+    assert not (tmp_path / "v.dlfv").exists()
 
 
 def test_set_file_accepts_hex_and_comments(tmp_path):

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from dlfvault import field as field_module
 from dlfvault.errors import BadFactorization, MalformedFile, ZeroInverse
 from dlfvault.field import (
     GF16_REDUCTION_POLY,
@@ -174,6 +176,41 @@ def test_params_file_malformed(params64):
     with pytest.raises(MalformedFile):
         # p = 24 parses but fails the primality re-check
         params_from_file(b"DLFP\x01" + pack_lpint(24) + pack_lpint(5))
+
+
+def _params_file(p, alpha):
+    from dlfvault._wire import pack_lpint
+    return b"DLFP\x01" + pack_lpint(p) + pack_lpint(alpha)
+
+
+# primes that are not safe, and alphas of order q = 11 in F_23
+UNSAFE_FIELDS = [(29, 2), (37, 2), (23, 4), (23, 2)]
+
+
+@pytest.mark.parametrize("p, alpha", UNSAFE_FIELDS)
+def test_params_file_demands_a_safe_prime_and_a_primitive_root(p, alpha):
+    with pytest.raises(MalformedFile, match="safe prime"):
+        params_from_file(_params_file(p, alpha))
+    # in memory the field stays usable, e.g. for subgroup experiments
+    assert PrimeField(p, alpha).p == p
+
+
+def test_cached_proof_is_keyed_on_the_exact_pair(params256):
+    assert params_from_file(params_to_file(params256)) == params256
+    composite = next(n for n in itertools.count(params256.p + 2, 2) if not is_prime(n))
+    with pytest.raises(MalformedFile):
+        params_from_file(_params_file(composite, params256.alpha))
+    with pytest.raises(ValueError):
+        PrimeField(composite, params256.alpha)
+
+
+def test_proven_field_equals_a_freshly_constructed_one(params128):
+    proven = params_from_file(params_to_file(params128))
+    field_module._is_safe_field.cache_clear()
+    fresh = PrimeField(params128.p, params128.alpha)
+    assert proven is not fresh
+    assert proven == fresh
+    assert hash(proven) == hash(fresh)
 
 
 # GF(2^16)

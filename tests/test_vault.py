@@ -6,6 +6,7 @@ import random
 import pytest
 
 from helpers import spaced_set
+from dlfvault import field as field_module
 from dlfvault.dlog_codec import KIND_SINGLE, KeyFile, gen_key
 from dlfvault.errors import (
     BadLength,
@@ -315,6 +316,57 @@ def test_vault_file_rejects_points_lock_never_places(params64):
         tampered = dataclasses.replace(vault, points=points).to_bytes()
         with pytest.raises(MalformedFile, match=reason):
             Vault.from_bytes(tampered)
+
+
+def test_vault_file_rejects_headers_lock_never_writes(params64):
+    # each of these loaded before, and unlock then spent its whole subset
+    # budget before raising DecodeFailed
+    A = spaced_set(random.Random(59), params64.p, 26, delta=0)
+    vault, _ = lock(b"", A, Scheme.CLASSICAL, params64, chaff_count=3,
+                    seed=20, seg_bits=16)
+    # 64 bits in 16-bit chunks: the one count a whole-message vault may have
+    whole = dataclasses.replace(vault, scheme=Scheme.WHOLE_MESSAGE, coeff_count=4)
+    assert Vault.from_bytes(whole.to_bytes()) == whole
+    for bad, reason in [
+        (dataclasses.replace(vault, seg_bits=0), "segments"),
+        (dataclasses.replace(vault, seg_bits=7), "segments"),
+        (dataclasses.replace(vault, seg_bits=64), "segments"),   # above p_bits - 1
+        (dataclasses.replace(vault, seg_bits=200), "segments"),
+        (dataclasses.replace(vault, coeff_count=0), "coefficient count"),
+        (dataclasses.replace(vault, coeff_count=len(vault.points) + 1), "coefficient count"),
+        (dataclasses.replace(whole, coeff_count=3), "whole-message"),
+        (dataclasses.replace(whole, coeff_count=5), "whole-message"),
+    ]:
+        with pytest.raises(MalformedFile, match=reason):
+            Vault.from_bytes(bad.to_bytes())
+
+
+@pytest.mark.parametrize("p, alpha", [(29, 2), (37, 2), (23, 4), (23, 2)])
+def test_vault_file_demands_a_safe_prime_and_a_primitive_root(p, alpha):
+    vault = Vault(params=PrimeField(p, alpha), scheme=Scheme.CLASSICAL, coeff_count=1,
+                  seg_bits=8, delta=0, points=[(1, 2), (5, 7)])
+    with pytest.raises(MalformedFile, match="safe prime"):
+        Vault.from_bytes(vault.to_bytes())
+
+
+def test_a_loaded_field_is_proven_once(params256, monkeypatch):
+    A = spaced_set(random.Random(60), params256.p, 12, delta=0)
+    vault, _ = lock(b"cache", A, Scheme.CLASSICAL, params256, chaff_count=5,
+                    seed=21, seg_bits=32)
+    blob = vault.to_bytes()
+    full_strength = []
+    real = field_module.is_prime
+
+    def counting(n, rounds=field_module._MILLER_RABIN_ROUNDS):
+        if rounds == field_module._MILLER_RABIN_ROUNDS:
+            full_strength.append(n)
+        return real(n, rounds)
+
+    monkeypatch.setattr(field_module, "is_prime", counting)
+    field_module._is_safe_field.cache_clear()
+    for _ in range(5):
+        assert Vault.from_bytes(blob) == vault
+    assert full_strength == [(params256.p - 1) // 2]
 
 
 def test_verify_coefficients():
