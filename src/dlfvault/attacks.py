@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+from .dlog_codec import message_decoder
 from .errors import BadArguments, NotInGroup
 from .field import PrimeField
-from .vault import DEFAULT_MAX_SUBSETS, Vault, check_key_kind, message_decoder, subset_search
+from .vault import DEFAULT_MAX_SUBSETS, Vault, subset_search
 
 _MASK64 = (1 << 64) - 1
 
@@ -174,8 +175,6 @@ def brute_force_unlock_attack(vault: Vault, key_file=None,
     this measures how little the chaff alone protects, and a key of the
     wrong kind for the scheme raises KeyKindMismatch as unlock does.
     """
-    if key_file is not None:
-        check_key_kind(vault.scheme, key_file)
     message, tried = subset_search(vault.params, sorted(vault.points), vault.coeff_count,
                                    message_decoder(vault, key_file), max_subsets)
     return BruteForceResult(succeeded=message is not None, subsets_tried=tried,

@@ -60,12 +60,7 @@ _EXIT_CODES = {
     OSError: EXIT_IO,
 }
 
-_SCHEMES = {
-    "classical": Scheme.CLASSICAL,
-    "per-segment": Scheme.PER_SEGMENT,
-    "whole-message": Scheme.WHOLE_MESSAGE,
-    "parity": Scheme.PARITY,
-}
+_SCHEMES = {scheme.name.lower().replace("_", "-"): scheme for scheme in Scheme}
 
 
 def _int_arg(s: str) -> int:
@@ -109,8 +104,7 @@ def _fresh_seed() -> int:
 
 def _cmd_params(args) -> int:
     if args.bits < 8:
-        print("error: --bits must be at least 8", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--bits must be at least 8")
     seed = args.seed if args.seed is not None else _fresh_seed()
     print(f"seed={seed}")
     field = gen_params(args.bits, seed)
@@ -175,8 +169,7 @@ def _cmd_identity_decode(args) -> int:
 def _cmd_attack(args) -> int:
     if args.vault:
         if args.r or args.t or args.n:
-            print("error: --vault and --r/--t/--n are mutually exclusive", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--vault and --r/--t/--n are mutually exclusive")
         vault = Vault.from_bytes(_read_bytes(args.vault))
         key_file = KeyFile.from_bytes(_read_bytes(args.key)) if args.key else None
         result = brute_force_unlock_attack(vault, key_file, max_subsets=args.max_subsets)
@@ -187,8 +180,7 @@ def _cmd_attack(args) -> int:
         return EXIT_OK
 
     if not (args.r and args.t and args.n):
-        print("error: synthetic mode needs --r, --t and --n", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("synthetic mode needs --r, --t and --n")
     seed = args.seed if args.seed is not None else _fresh_seed()
     print(f"seed={seed}")
     reports = []

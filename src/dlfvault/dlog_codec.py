@@ -1,26 +1,27 @@
-"""Ephemeral keys and the discrete-log coefficient maps.
+"""The four schemes' coefficient maps, both ways.
 
-Every scheme that encrypts polynomial coefficients does it the same way:
-multiply by alpha**kappa in F_p, where kappa is a per-message secret
-exponent. Variants differ in how many exponents exist and what selects
-them:
+One pipeline maps a message to coefficients, with two optional masks:
 
-  single  one kappa for everything
-  parity  kappa_even for even 1-based segment indices, kappa_odd for odd
-  none    no encryption layer (classical vaults)
+    frame -> whole-message mask -> segment -> per-segment masks
 
-Decoding multiplies by the inverse of the same power, so the maps are
-exact inverses point by point.
+A mask multiplies by alpha**kappa in F_p, kappa a per-message secret
+exponent: one kappa under a single key, kappa_even or kappa_odd by the
+1-based segment index under a parity key, no mask under a none key.
+The whole-message scheme masks before the split, per-segment and parity
+after it, and classical only splits. message_decoder runs the pipeline
+backwards with the inverse powers, so the maps are exact inverses.
 """
 
 from __future__ import annotations
 
+import enum
 import random
 import struct
 from dataclasses import dataclass
 
+from . import framing
 from ._wire import check_end, pack_lpint, read_header, take, unpack_lpint
-from .errors import BadLength, MalformedFile, MessageTooLarge
+from .errors import BadLength, KeyKindMismatch, MalformedFile, MessageTooLarge
 from .field import PrimeField
 
 KIND_SINGLE = "single"
@@ -31,6 +32,25 @@ _KIND_CODES = {KIND_SINGLE: 0, KIND_PARITY: 1, KIND_NONE: 2}
 _KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
 
 _HEADER = b"DLFK\x01"
+
+
+class Scheme(enum.IntEnum):
+    """How polynomial coefficients relate to the framed message."""
+
+    CLASSICAL = 0        # segments are the coefficients, no encryption
+    PER_SEGMENT = 1      # each segment multiplied by alpha^kappa
+    WHOLE_MESSAGE = 2    # one multiplication of the whole framed integer, then split
+    PARITY = 3           # separate exponents for even- and odd-indexed segments
+
+
+_SCHEME_KEY_KIND = {
+    Scheme.CLASSICAL: KIND_NONE,
+    Scheme.PER_SEGMENT: KIND_SINGLE,
+    Scheme.WHOLE_MESSAGE: KIND_SINGLE,
+    Scheme.PARITY: KIND_PARITY,
+}
+
+_SEGMENT_MASKED = (Scheme.PER_SEGMENT, Scheme.PARITY)
 
 
 @dataclass(frozen=True)
@@ -124,7 +144,8 @@ class KeyFile:
 
     framed_len is only meaningful for whole-message keys, where the
     decoder must know how many bytes the framed integer serializes to;
-    every other kind stores zero.
+    every other kind stores zero. Whether a length fits the vault is
+    checked where the key meets it, in message_decoder.
     """
 
     key: EphemeralKey
@@ -159,4 +180,73 @@ class KeyFile:
         raw, offset = take(data, offset, 2)
         check_end(data, offset, "key record")
         (framed_len,) = struct.unpack(">H", raw)
+        if framed_len and (kind != KIND_SINGLE or framed_len < framing.MIN_FRAME_LEN):
+            raise MalformedFile(f"a {kind} key never records a {framed_len}-byte frame")
         return cls(key=key, framed_len=framed_len)
+
+
+def whole_chunks(params: PrimeField, seg_bits: int) -> int:
+    """Coefficients of a whole-message vault: p_bits split into seg_bits chunks."""
+    return -(-params.p_bits // seg_bits)
+
+
+def check_key_kind(scheme: Scheme, key_file: KeyFile | None) -> None:
+    """A key file must be of the scheme's kind; no key file counts as kind none."""
+    expected = _SCHEME_KEY_KIND[scheme]
+    actual = key_file.key.kind if key_file is not None else KIND_NONE
+    if actual != expected:
+        raise KeyKindMismatch(f"scheme {scheme.name} needs a {expected!r} key, got {actual!r}")
+
+
+def encode_message(params: PrimeField, scheme: Scheme, message: bytes, seg_bits: int,
+                   seed: int) -> tuple[list[int], KeyFile]:
+    """Frame, whole-message mask, segment, per-segment masks, under a
+    fresh key drawn from seed; returns (coeffs, key file)."""
+    key = gen_key(params, _SCHEME_KEY_KIND[scheme], seed)
+    framed = framing.frame(message, seg_bits)
+    framed_len = 0
+    if scheme is Scheme.WHOLE_MESSAGE:
+        framed_len = len(framed)
+        width = whole_chunks(params, seg_bits) * seg_bits // 8
+        framed = encode_whole(params, framed, key).to_bytes(width, "big")
+    coeffs = framing.segment(framed, seg_bits)
+    if scheme in _SEGMENT_MASKED:
+        coeffs = [encode_segment(params, s, key, i) for i, s in enumerate(coeffs, start=1)]
+    return coeffs, KeyFile(key=key, framed_len=framed_len)
+
+
+def message_decoder(vault, key_file: KeyFile | None):
+    """Build coeffs -> message bytes for a vault (read for scheme, params,
+    seg_bits and coeff_count): per-segment unmask, reassemble, whole
+    unmask, deframe. A given key must be of the vault's kind and record
+    a frame length the vault can hold; with no key nothing is unmasked.
+    The decoder raises BadLength, MalformedFrame or SignatureMismatch on
+    a wrong candidate. Inverse powers are computed once here.
+    """
+    params, seg_bits = vault.params, vault.seg_bits
+    segment_inverses, whole_inverse, framed_len = [], None, 0
+    if key_file is not None:
+        check_key_kind(vault.scheme, key_file)
+        key, framed_len = key_file.key, key_file.framed_len
+        # the framed integer is below p; only its u64 length header adds leading zero bytes
+        top = -(-params.p_bits // 8) + framing.HEADER_LEN
+        fits = framed_len == 0
+        if vault.scheme is Scheme.WHOLE_MESSAGE:
+            fits = framing.MIN_FRAME_LEN <= framed_len <= top and not framed_len % (seg_bits // 8)
+        if not fits:
+            raise MalformedFile(f"a {vault.scheme.name} vault never has a {framed_len}-byte frame")
+        if vault.scheme in _SEGMENT_MASKED:
+            segment_inverses = [inverse_power(params, key_exponent(key, i))
+                                for i in range(1, vault.coeff_count + 1)]
+        elif vault.scheme is Scheme.WHOLE_MESSAGE:
+            whole_inverse = inverse_power(params, key.kappa)
+
+    def decode(coeffs):
+        if segment_inverses:
+            coeffs = [params.mul(c, m) for c, m in zip(coeffs, segment_inverses)]
+        framed = framing.reassemble(coeffs, seg_bits)
+        if whole_inverse is not None:
+            framed = unmask_whole(params, int.from_bytes(framed, "big"), whole_inverse,
+                                  framed_len)
+        return framing.deframe(framed)
+    return decode

@@ -1,5 +1,6 @@
-"""Fuzzy vault core: locking a message under a set, tolerance matching,
-subset-search unlocking, and the vault file format.
+"""Fuzzy vault core: points, search, file. Point placement, tolerance
+matching, subset search, lock/unlock and the DLFV format; dlog_codec
+maps messages to coefficients and back.
 
 A vault is r points over a field: F_p for the four schemes here,
 GF(2^16) for identity binding, which reuses place_points, nearest_points
@@ -12,7 +13,6 @@ value can never sit within delta of two vault points at once.
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import itertools
 import random
@@ -23,24 +23,18 @@ from dataclasses import dataclass, field as dc_field
 from . import framing
 from ._wire import check_end, pack_lpint, read_header, take, unpack_lpint
 from .dlog_codec import (
-    KIND_NONE,
-    KIND_PARITY,
-    KIND_SINGLE,
-    EphemeralKey,
     KeyFile,
-    encode_segment,
-    encode_whole,
-    gen_key,
-    inverse_power,
-    key_exponent,
-    unmask_whole,
+    Scheme,
+    check_key_kind,
+    encode_message,
+    message_decoder,
+    whole_chunks,
 )
 from .errors import (
     BadLength,
     ChaffSpaceExhausted,
     DecodeFailed,
     InvalidLockingSet,
-    KeyKindMismatch,
     LockingSetTooSmall,
     MalformedFile,
     MalformedFrame,
@@ -57,23 +51,6 @@ DEFAULT_MAX_SUBSETS = 100_000
 _CHAFF_ATTEMPTS = 1000
 
 _HEADER = b"DLFV\x01"
-
-
-class Scheme(enum.IntEnum):
-    """How polynomial coefficients relate to the framed message."""
-
-    CLASSICAL = 0        # segments are the coefficients, no encryption
-    PER_SEGMENT = 1      # each segment multiplied by alpha^kappa
-    WHOLE_MESSAGE = 2    # one multiplication of the whole framed integer, then split
-    PARITY = 3           # separate exponents for even- and odd-indexed segments
-
-
-_SCHEME_KEY_KIND = {
-    Scheme.CLASSICAL: KIND_NONE,
-    Scheme.PER_SEGMENT: KIND_SINGLE,
-    Scheme.WHOLE_MESSAGE: KIND_SINGLE,
-    Scheme.PARITY: KIND_PARITY,
-}
 
 
 @dataclass
@@ -133,8 +110,8 @@ class Vault:
             raise MalformedFile(f"{seg_bits}-bit segments do not fit a {params.p_bits}-bit field")
         if not 0 < coeff_count <= count:
             raise MalformedFile(f"coefficient count {coeff_count} is not in [1, {count}]")
-        if scheme is Scheme.WHOLE_MESSAGE and coeff_count != _whole_chunks(params, seg_bits):
-            raise MalformedFile(f"a whole-message vault has {_whole_chunks(params, seg_bits)} "
+        if scheme is Scheme.WHOLE_MESSAGE and coeff_count != whole_chunks(params, seg_bits):
+            raise MalformedFile(f"a whole-message vault has {whole_chunks(params, seg_bits)} "
                                 f"coefficients, not {coeff_count}")
         if any(x >= params.p or y >= params.p for x, y in points):
             raise MalformedFile("a vault point has a coordinate outside [0, p)")
@@ -166,23 +143,6 @@ def _check_gaps(xs, delta, error, what):
             raise error(f"{what} {prev} and {cur} are within 2*delta = {2 * delta}")
 
 
-def _whole_chunks(params, seg_bits):
-    """Coefficients of a whole-message vault: p_bits split into seg_bits chunks."""
-    return -(-params.p_bits // seg_bits)
-
-
-def _lock_coefficients(framed, scheme, params, seg_bits, key):
-    """Map framed bytes to the coefficient list; returns (coeffs, framed_len)."""
-    if scheme is Scheme.WHOLE_MESSAGE:
-        beta = encode_whole(params, framed, key)
-        count = _whole_chunks(params, seg_bits)
-        return framing.segment(beta.to_bytes(count * seg_bits // 8, "big"), seg_bits), len(framed)
-    segments = framing.segment(framed, seg_bits)
-    if scheme is Scheme.CLASSICAL:
-        return segments, 0
-    return [encode_segment(params, s, key, i) for i, s in enumerate(segments, start=1)], 0
-
-
 def place_points(field, coeffs, locking_set, chaff_count, delta, seed):
     """The vault of Juels and Sudan over any field with add/sub/mul/inv/size.
 
@@ -208,12 +168,10 @@ def place_points(field, coeffs, locking_set, chaff_count, delta, seed):
 def lock(message: bytes, locking_set, scheme: Scheme, params: PrimeField,
          chaff_count: int = 0, delta: int = 0, seed: int = 0,
          seg_bits: int = framing.DEFAULT_SEG_BITS) -> tuple[Vault, KeyFile]:
-    """Lock message bytes under the locking set.
-
-    Frames the message, maps it to polynomial coefficients per the
-    scheme, then hands them to place_points. All randomness flows from
-    seed. Returns the vault together with the key file that unlocking
-    will need.
+    """Lock message bytes under the locking set: encode_message maps them
+    to the scheme's coefficients, and place_points places those. All
+    randomness flows from seed. Returns the vault and the key file that
+    unlocking will need.
     """
     if seg_bits > params.p_bits - 1:
         raise BadLength(
@@ -226,13 +184,11 @@ def lock(message: bytes, locking_set, scheme: Scheme, params: PrimeField,
     # before any framing or encoding error
     _validate_locking_set(locking_set, params.size, delta)
 
-    key = gen_key(params, _SCHEME_KEY_KIND[scheme], _subseed(seed, "key"))
-    framed = framing.frame(message, seg_bits)
-    coeffs, framed_len = _lock_coefficients(framed, scheme, params, seg_bits, key)
+    coeffs, key_file = encode_message(params, scheme, message, seg_bits, _subseed(seed, "key"))
     points, mask = place_points(params, coeffs, locking_set, chaff_count, delta, seed)
     vault = Vault(params=params, scheme=scheme, coeff_count=len(coeffs),
                   seg_bits=seg_bits, delta=delta, points=points, genuine_mask=mask)
-    return vault, KeyFile(key=key, framed_len=framed_len)
+    return vault, key_file
 
 
 def _generate_chaff(field, coeffs, taken_xs, count, delta, rng):
@@ -292,57 +248,17 @@ def match_points(vault: Vault, unlocking_set) -> list[tuple[int, int]]:
     return nearest_points(vault.points, vault.delta, unlocking_set)
 
 
-def check_key_kind(scheme, key_file):
-    expected = _SCHEME_KEY_KIND[scheme]
-    actual = key_file.key.kind if key_file is not None else KIND_NONE
-    if actual != expected:
-        raise KeyKindMismatch(f"scheme {scheme.name} needs a {expected!r} key, got {actual!r}")
-
-
-def message_decoder(vault, key_file):
-    """Build coeffs -> message bytes for this vault and key; raises
-    BadLength / MalformedFrame / SignatureMismatch on a wrong candidate.
-    Inverse powers are computed once here, not once per candidate."""
-    params = vault.params
-    seg_bits = vault.seg_bits
-    key = key_file.key if key_file is not None else EphemeralKey(KIND_NONE)
-
-    if vault.scheme is Scheme.CLASSICAL or key.kind == KIND_NONE:
-        # without key material the coefficients can only be read as raw
-        # segments, which is exactly the classical decode
-        def decode(coeffs):
-            return framing.deframe(framing.reassemble(coeffs, seg_bits))
-        return decode
-
-    if vault.scheme in (Scheme.PER_SEGMENT, Scheme.PARITY):
-        inverse = [inverse_power(params, key_exponent(key, i))
-                   for i in range(1, vault.coeff_count + 1)]
-
-        def decode(coeffs):
-            segments = [params.mul(c, m) for c, m in zip(coeffs, inverse)]
-            return framing.deframe(framing.reassemble(segments, seg_bits))
-        return decode
-
-    inverse = inverse_power(params, key.kappa)
-
-    def decode(coeffs):
-        beta = int.from_bytes(framing.reassemble(coeffs, seg_bits), "big")
-        return framing.deframe(unmask_whole(params, beta, inverse, key_file.framed_len))
-    return decode
-
-
 def subset_search(field, candidates, coeff_count, decode, max_subsets):
-    """Interpolate candidate subsets in lexicographic x order until decode
-    accepts one; returns (decoded value or None, subsets tried).
+    """Interpolate at most max_subsets candidate subsets (None: no cap; a
+    negative budget raises ValueError) in lexicographic x order until
+    decode accepts one; returns (decoded value or None, subsets tried).
 
     decode raises BadLength, MalformedFrame or SignatureMismatch to
     reject a candidate polynomial.
     """
     tried = 0
-    for subset in itertools.combinations(candidates, coeff_count):
-        if tried == max_subsets:
-            break
-        tried += 1
+    subsets = itertools.islice(itertools.combinations(candidates, coeff_count), max_subsets)
+    for tried, subset in enumerate(subsets, start=1):
         coeffs = lagrange_interpolate(field, list(subset), coeff_count)
         try:
             return decode(coeffs), tried
@@ -359,13 +275,15 @@ def unlock(vault: Vault, unlocking_set, key_file: KeyFile | None = None,
     of the matches are interpolated until the framed digest verifies.
     key_file may be omitted for classical vaults only.
     """
-    check_key_kind(vault.scheme, key_file)
+    if key_file is None:
+        check_key_kind(vault.scheme, None)
+    decode = message_decoder(vault, key_file)
     candidates = match_points(vault, unlocking_set)
     if len(candidates) < vault.coeff_count:
         raise NotEnoughMatches(
             f"{len(candidates)} matched points cannot determine {vault.coeff_count} coefficients")
-    message, tried = subset_search(vault.params, candidates, vault.coeff_count,
-                                   message_decoder(vault, key_file), max_subsets)
+    message, tried = subset_search(vault.params, candidates, vault.coeff_count, decode,
+                                   max_subsets)
     if message is None:
         raise DecodeFailed(f"no subset of {tried} tried produced a valid digest")
     return message

@@ -1,5 +1,7 @@
 """Shared construction helpers for the test suite."""
 
+import struct
+
 
 def spaced_set(rng, p, count, delta, jitter=64):
     """count ascending elements with pairwise gaps above 2*delta, kept at
@@ -25,3 +27,8 @@ def feasible_whole_message_lengths(params, seg_bits):
         if framed_len * 8 <= params.p_bits - 1:
             lengths.append(length)
     return lengths
+
+
+def with_framed_len(key_bytes, framed_len):
+    """DLFK bytes with the closing u16 frame length replaced."""
+    return key_bytes[:-2] + struct.pack(">H", framed_len)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import spaced_set
+from helpers import spaced_set, with_framed_len
 from dlfvault.attacks import (
     CSV_HEADER,
     attack_report,
@@ -18,7 +18,8 @@ from dlfvault.attacks import (
     sweep_csv,
     _sample_distinct,
 )
-from dlfvault.errors import BadArguments, KeyKindMismatch, NotInGroup
+from dlfvault.dlog_codec import KeyFile
+from dlfvault.errors import BadArguments, KeyKindMismatch, MalformedFile, NotInGroup
 from dlfvault.field import PrimeField, gen_params
 from dlfvault.framing import frame
 from dlfvault.vault import Scheme, lock
@@ -169,6 +170,28 @@ def test_brute_force_rejects_a_key_of_the_wrong_kind(params64):
     _, parity_key = lock(b"kind", A, Scheme.PARITY, params64, seed=79, seg_bits=16)
     with pytest.raises(KeyKindMismatch):
         brute_force_unlock_attack(vault, parity_key, max_subsets=200)
+
+
+def test_brute_force_rejects_a_frame_length_lock_never_writes(params256):
+    rng = random.Random(79)
+    A = spaced_set(rng, params256.p, 18, delta=0)
+    vault, key_file = lock(b"len", A, Scheme.WHOLE_MESSAGE, params256, chaff_count=2,
+                           seed=80, seg_bits=16)
+    for framed_len in (0, 60000):
+        blob = with_framed_len(key_file.to_bytes(), framed_len)
+        with pytest.raises(MalformedFile):
+            brute_force_unlock_attack(vault, KeyFile.from_bytes(blob), max_subsets=2000)
+
+
+def test_brute_force_rejects_a_negative_budget(params64):
+    rng = random.Random(81)
+    A = spaced_set(rng, params64.p, 14, delta=0)
+    vault, key_file = lock(b"", A, Scheme.PARITY, params64, chaff_count=2,
+                           seed=82, seg_bits=16)
+    for key in (None, key_file):
+        with pytest.raises(ValueError) as exc_info:
+            brute_force_unlock_attack(vault, key, max_subsets=-1)
+        assert type(exc_info.value) is ValueError
 
 
 def test_brute_force_respects_cap(params64):

@@ -5,7 +5,8 @@ import pytest
 from dlfvault import cli
 from dlfvault._wire import pack_lpint
 from dlfvault.field import gen_params, params_from_file
-from helpers import spaced_set
+from dlfvault.vault import Scheme, lock
+from helpers import spaced_set, with_framed_len
 
 
 def write_set(path, values):
@@ -345,3 +346,52 @@ def test_attack_invalid_combo():
     rc = cli.main(["attack", "--r", "10", "--t", "10", "--n", "3",
                    "--trials", "100", "--seed", "1"])
     assert rc == cli.EXIT_USAGE
+
+
+def test_params_bits_below_8_is_a_usage_error(tmp_path, capsys):
+    rc = cli.main(["params", "--bits", "7", "--seed", "1", "--out", str(tmp_path / "x.dlfp")])
+    assert rc == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: --bits must be at least 8\n"
+
+
+def test_attack_mode_conflict_is_a_usage_error(capsys):
+    rc = cli.main(["attack", "--vault", "v", "--r", "10"])
+    assert rc == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: --vault and --r/--t/--n are mutually exclusive\n"
+
+
+def test_scheme_choices_come_from_the_scheme_enum():
+    assert cli._SCHEMES == {"classical": Scheme.CLASSICAL, "per-segment": Scheme.PER_SEGMENT,
+                            "whole-message": Scheme.WHOLE_MESSAGE, "parity": Scheme.PARITY}
+
+
+def test_negative_max_subsets_is_a_usage_error(tmp_path, capsys, field16):
+    A, vault_path, key_path = _locked_vault(tmp_path, field16, 918)
+    write_set(tmp_path / "probe.txt", A)
+    rc = cli.main(["unlock", "--vault", str(vault_path), "--set", str(tmp_path / "probe.txt"),
+                   "--key", str(key_path), "--max-subsets", "-1",
+                   "--out", str(tmp_path / "o.bin")])
+    assert rc == cli.EXIT_USAGE
+    rc = cli.main(["attack", "--vault", str(vault_path), "--max-subsets", "-1"])
+    assert rc == cli.EXIT_USAGE
+    assert "succeeded" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("framed_len", [0, 3, 60000])
+def test_whole_message_key_with_a_bad_frame_length_is_a_usage_error(tmp_path, capsys,
+                                                                     params256, framed_len):
+    rng = random.Random(919)
+    A = spaced_set(rng, params256.p, 18, delta=0)
+    vault, key_file = lock(b"cli", A, Scheme.WHOLE_MESSAGE, params256, chaff_count=2,
+                           seed=920, seg_bits=16)
+    (tmp_path / "v.dlfv").write_bytes(vault.to_bytes())
+    (tmp_path / "k.dlfk").write_bytes(with_framed_len(key_file.to_bytes(), framed_len))
+    write_set(tmp_path / "probe.txt", A)
+    rc = cli.main(["unlock", "--vault", str(tmp_path / "v.dlfv"),
+                   "--set", str(tmp_path / "probe.txt"), "--key", str(tmp_path / "k.dlfk"),
+                   "--out", str(tmp_path / "o.bin")])
+    assert rc == cli.EXIT_USAGE
+    rc = cli.main(["attack", "--vault", str(tmp_path / "v.dlfv"),
+                   "--key", str(tmp_path / "k.dlfk"), "--max-subsets", "200"])
+    assert rc == cli.EXIT_USAGE
+    assert "succeeded" not in capsys.readouterr().out

@@ -18,6 +18,7 @@ from dlfvault.dlog_codec import (
 from dlfvault.errors import BadLength, MalformedFile, MessageTooLarge
 from dlfvault.field import PrimeField
 from dlfvault.framing import frame
+from helpers import with_framed_len
 
 
 F23 = PrimeField(23, 5)
@@ -142,3 +143,16 @@ def test_key_file_malformed(params64):
         KeyFile.from_bytes(good[:-1])
     with pytest.raises(MalformedFile):
         KeyFile.from_bytes(good + b"\x00")
+
+
+def test_key_file_rejects_a_frame_length_lock_never_writes(params64):
+    single = KeyFile(key=gen_key(params64, KIND_SINGLE, 9)).to_bytes()
+    parity = KeyFile(key=gen_key(params64, KIND_PARITY, 9)).to_bytes()
+    none = KeyFile(key=EphemeralKey(KIND_NONE)).to_bytes()
+    for blob, framed_len in [(parity, 24), (parity, 1), (none, 24), (none, 1),
+                             (single, 1), (single, 3), (single, 23)]:
+        with pytest.raises(MalformedFile):
+            KeyFile.from_bytes(with_framed_len(blob, framed_len))
+    # whether a whole frame fits is up to the vault, not the key file
+    for framed_len in (0, 24, 0xFFFF):
+        assert KeyFile.from_bytes(with_framed_len(single, framed_len)).framed_len == framed_len

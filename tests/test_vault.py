@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from helpers import spaced_set
+from helpers import spaced_set, with_framed_len
 from dlfvault import field as field_module
-from dlfvault.dlog_codec import KIND_SINGLE, KeyFile, gen_key
+from dlfvault.dlog_codec import KIND_SINGLE, KeyFile, gen_key, message_decoder
 from dlfvault.errors import (
     BadLength,
     ChaffSpaceExhausted,
@@ -416,3 +416,56 @@ def test_golden_bytes_for_fixed_seeds(params256, scheme):
     blob = params_to_file(params256) + vault.to_bytes() + key_file.to_bytes()
     assert hashlib.sha256(blob).hexdigest() == _GOLDEN[scheme]
     assert unlock(vault, A, key_file) == msg
+
+
+def _whole_message_vault(params, msg, seg_bits, seed, chaff_count=0):
+    rng = random.Random(seed)
+    A = spaced_set(rng, params.p, -(-params.p_bits // seg_bits) + 2, delta=0)
+    vault, key_file = lock(msg, A, Scheme.WHOLE_MESSAGE, params, chaff_count=chaff_count,
+                           seed=seed, seg_bits=seg_bits)
+    return A, vault, key_file
+
+
+@pytest.mark.parametrize("framed_len", [0, 3, 60000])
+def test_whole_message_key_with_a_frame_length_lock_never_writes(params256, framed_len):
+    # each of these used to spend the whole subset budget, then raise DecodeFailed
+    A, vault, key_file = _whole_message_vault(params256, b"hi", 16, 59, chaff_count=4)
+    blob = with_framed_len(key_file.to_bytes(), framed_len)
+    with pytest.raises(MalformedFile):
+        unlock(vault, A, KeyFile.from_bytes(blob), max_subsets=2000)
+
+
+def test_frame_length_must_fit_the_vault(params64, params128, params256):
+    # the u64 length header is the framed integer's only source of leading
+    # zero bytes, so an empty message reaches ceil(p_bits / 8) + 8 exactly
+    A, vault, key_file = _whole_message_vault(params128, b"", 64, 60)
+    assert key_file.framed_len == 24 == -(-params128.p_bits // 8) + 8
+    assert unlock(vault, A, key_file) == b""
+    A, vault, key_file = _whole_message_vault(params128, b"", 8, 61)
+    for framed_len in (25, 32, 23):
+        with pytest.raises(MalformedFile):
+            message_decoder(vault, dataclasses.replace(key_file, framed_len=framed_len))
+    A, vault, key_file = _whole_message_vault(params256, b"odd", 32, 62)
+    assert key_file.framed_len == 28
+    with pytest.raises(MalformedFile):
+        message_decoder(vault, dataclasses.replace(key_file, framed_len=30))
+    # every other scheme records no frame length
+    rng = random.Random(63)
+    A = spaced_set(rng, params64.p, 12, delta=0)
+    vault, key_file = lock(b"", A, Scheme.PER_SEGMENT, params64, seed=64, seg_bits=16)
+    assert key_file.framed_len == 0
+    with pytest.raises(MalformedFile):
+        unlock(vault, A, dataclasses.replace(key_file, framed_len=24))
+
+
+def test_negative_max_subsets_is_rejected(params64):
+    # a budget of -1 used to lift the cap and enumerate every subset
+    rng = random.Random(65)
+    msg = b"budget"
+    n = len(frame(msg, 16)) // 2
+    A = spaced_set(rng, params64.p, n + 4, delta=0)
+    vault, _ = lock(msg, A, Scheme.PER_SEGMENT, params64, seed=66, seg_bits=16)
+    wrong = KeyFile(key=gen_key(params64, KIND_SINGLE, 1001))
+    with pytest.raises(ValueError) as exc_info:
+        unlock(vault, A, wrong, max_subsets=-1)
+    assert type(exc_info.value) is ValueError
