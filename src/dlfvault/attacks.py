@@ -192,8 +192,7 @@ def solve_dlog_bsgs(target: int, params: PrimeField) -> int:
     if target % params.p == 0:
         raise NotInGroup("0 is outside the multiplicative group")
     target %= params.p
-    order = params.p - 1
-    m = math.isqrt(order - 1) + 1 if order > 1 else 1
+    m = math.isqrt(params.p - 2) + 1
     baby = {}
     acc = 1
     for j in range(m):

@@ -63,6 +63,17 @@ class EphemeralKey:
     kappa_odd: int = 0
 
 
+def _exponent_ranges(params: PrimeField, kind: str) -> dict[str, range]:
+    """Each exponent a key of this kind carries -> the range gen_key draws it from."""
+    top = params.p - 1
+    ranges = {KIND_SINGLE: {"kappa": range(1, top)},
+              KIND_PARITY: {"kappa_even": range(2, top, 2), "kappa_odd": range(1, top, 2)},
+              KIND_NONE: {}}
+    if kind not in ranges:
+        raise ValueError(f"unknown key kind {kind!r}")
+    return ranges[kind]
+
+
 def gen_key(params: PrimeField, kind: str, seed: int) -> EphemeralKey:
     """Draw fresh exponent(s) in [1, p - 2] from a seeded rng.
 
@@ -70,19 +81,9 @@ def gen_key(params: PrimeField, kind: str, seed: int) -> EphemeralKey:
     kappa_odd to an odd one, so the two segment classes never share a
     multiplier.
     """
-    if params.p < 5:
-        raise ValueError("p must be at least 5 to leave room for distinct exponents")
     rng = random.Random(seed)
-    if kind == KIND_SINGLE:
-        return EphemeralKey(KIND_SINGLE, kappa=rng.randrange(1, params.p - 1))
-    if kind == KIND_PARITY:
-        half = (params.p - 1) // 2
-        even = 2 * rng.randrange(1, half)
-        odd = 2 * rng.randrange(0, half) + 1
-        return EphemeralKey(KIND_PARITY, kappa_even=even, kappa_odd=odd)
-    if kind == KIND_NONE:
-        return EphemeralKey(KIND_NONE)
-    raise ValueError(f"unknown key kind {kind!r}")
+    return EphemeralKey(kind, **{name: rng.randrange(r.start, r.stop, r.step)
+                                 for name, r in _exponent_ranges(params, kind).items()})
 
 
 def key_exponent(key: EphemeralKey, index: int) -> int:
@@ -101,8 +102,9 @@ def encode_segment(params: PrimeField, m_i: int, key: EphemeralKey, index: int) 
 
 
 def inverse_power(params: PrimeField, exponent: int) -> int:
-    """(alpha^exponent)^-1, the multiplier every decoding map applies."""
-    return params.inv(params.pow(params.alpha, exponent))
+    """(alpha^exponent)^-1, the multiplier every decoding map applies. alpha
+    has order p - 1 in every PrimeField, so that is alpha^(p - 1 - exponent)."""
+    return pow(params.alpha, params.p - 1 - exponent, params.p)
 
 
 def decode_segment(params: PrimeField, beta_i: int, key: EphemeralKey, index: int) -> int:
@@ -144,8 +146,8 @@ class KeyFile:
 
     framed_len is only meaningful for whole-message keys, where the
     decoder must know how many bytes the framed integer serializes to;
-    every other kind stores zero. Whether a length fits the vault is
-    checked where the key meets it, in message_decoder.
+    every other kind stores zero. Whether a key fits a vault is checked
+    where the two meet, in message_decoder.
     """
 
     key: EphemeralKey
@@ -201,7 +203,10 @@ def check_key_kind(scheme: Scheme, key_file: KeyFile | None) -> None:
 def encode_message(params: PrimeField, scheme: Scheme, message: bytes, seg_bits: int,
                    seed: int) -> tuple[list[int], KeyFile]:
     """Frame, whole-message mask, segment, per-segment masks, under a
-    fresh key drawn from seed; returns (coeffs, key file)."""
+    fresh key drawn from seed; returns (coeffs, key file). seg_bits above
+    p_bits - 1 raises BadLength."""
+    if seg_bits > params.p_bits - 1:
+        raise BadLength(f"{seg_bits}-bit segments do not embed into a {params.p_bits}-bit field")
     key = gen_key(params, _SCHEME_KEY_KIND[scheme], seed)
     framed = framing.frame(message, seg_bits)
     framed_len = 0
@@ -218,8 +223,9 @@ def encode_message(params: PrimeField, scheme: Scheme, message: bytes, seg_bits:
 def message_decoder(vault, key_file: KeyFile | None):
     """Build coeffs -> message bytes for a vault (read for scheme, params,
     seg_bits and coeff_count): per-segment unmask, reassemble, whole
-    unmask, deframe. A given key must be of the vault's kind and record
-    a frame length the vault can hold; with no key nothing is unmasked.
+    unmask, deframe. Before any power, a given key must be of the vault's
+    kind, with exponents gen_key draws and a frame length the vault can
+    hold; with no key nothing is unmasked.
     The decoder raises BadLength, MalformedFrame or SignatureMismatch on
     a wrong candidate. Inverse powers are computed once here.
     """
@@ -228,6 +234,9 @@ def message_decoder(vault, key_file: KeyFile | None):
     if key_file is not None:
         check_key_kind(vault.scheme, key_file)
         key, framed_len = key_file.key, key_file.framed_len
+        if not all(getattr(key, name) in r
+                   for name, r in _exponent_ranges(params, key.kind).items()):
+            raise MalformedFile(f"a {key.kind} key has an exponent gen_key never draws")
         # the framed integer is below p; only its u64 length header adds leading zero bytes
         top = -(-params.p_bits // 8) + framing.HEADER_LEN
         fits = framed_len == 0

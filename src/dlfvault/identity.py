@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._wire import check_end, read_header, take
-from .errors import MalformedFile, NotEnoughMatches, SignatureMismatch, WrongCount
+from .errors import MalformedFile, SignatureMismatch, WrongCount
 from .field import GF16_REDUCTION_POLY, binary_field
 from .polynomial import crc16_remainder
 from .vault import DEFAULT_MAX_SUBSETS, nearest_points, place_points, subset_search
@@ -141,9 +141,6 @@ def identity_vault_roundtrip(record: IdentityRecord, locking_set, chaff_count: i
     coeffs = encode_identity(record.kappa128, record.id64)
     points, _ = place_points(gf, coeffs, locking_set, chaff_count, 0, seed)
     probes = locking_set if unlocking_set is None else unlocking_set
-    matched = nearest_points(points, 0, probes)
-    if len(matched) < COEFF_COUNT:
-        raise NotEnoughMatches(
-            f"{len(matched)} exact matches cannot determine {COEFF_COUNT} coefficients")
-    decoded, _ = subset_search(gf, matched, COEFF_COUNT, _accept, DEFAULT_MAX_SUBSETS)
+    decoded, _ = subset_search(gf, nearest_points(points, 0, probes), COEFF_COUNT, _accept,
+                               DEFAULT_MAX_SUBSETS)
     return decoded == (record.kappa128, record.id64)

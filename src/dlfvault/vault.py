@@ -146,10 +146,15 @@ def _check_gaps(xs, delta, error, what):
 def place_points(field, coeffs, locking_set, chaff_count, delta, seed):
     """The vault of Juels and Sudan over any field with add/sub/mul/inv/size.
 
-    Validates the locking set, evaluates the coefficient polynomial on
-    it, adds chaff_count off-polynomial points, and scrambles the order.
+    Checks chaff_count and delta are non-negative and the locking set is
+    valid and no smaller than coeffs, evaluates the coefficient polynomial
+    on it, adds chaff_count off-polynomial points, and scrambles the order.
     Returns (points, genuine_mask).
     """
+    if chaff_count < 0:
+        raise ValueError("chaff_count must be non-negative")
+    if delta < 0:
+        raise ValueError("delta must be non-negative")
     _validate_locking_set(locking_set, field.size, delta)
     if len(locking_set) < len(coeffs):
         raise LockingSetTooSmall(
@@ -169,26 +174,14 @@ def lock(message: bytes, locking_set, scheme: Scheme, params: PrimeField,
          chaff_count: int = 0, delta: int = 0, seed: int = 0,
          seg_bits: int = framing.DEFAULT_SEG_BITS) -> tuple[Vault, KeyFile]:
     """Lock message bytes under the locking set: encode_message maps them
-    to the scheme's coefficients, and place_points places those. All
-    randomness flows from seed. Returns the vault and the key file that
-    unlocking will need.
+    to the scheme's coefficients, and place_points places those. Each
+    checks its own inputs, the codec first. All randomness flows from
+    seed. Returns the vault and the key file that unlocking will need.
     """
-    if seg_bits > params.p_bits - 1:
-        raise BadLength(
-            f"{seg_bits}-bit segments do not embed into a {params.p_bits}-bit field")
-    if chaff_count < 0:
-        raise ValueError("chaff_count must be non-negative")
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    # place_points validates again; checking here reports a bad set
-    # before any framing or encoding error
-    _validate_locking_set(locking_set, params.size, delta)
-
     coeffs, key_file = encode_message(params, scheme, message, seg_bits, _subseed(seed, "key"))
     points, mask = place_points(params, coeffs, locking_set, chaff_count, delta, seed)
-    vault = Vault(params=params, scheme=scheme, coeff_count=len(coeffs),
-                  seg_bits=seg_bits, delta=delta, points=points, genuine_mask=mask)
-    return vault, key_file
+    return Vault(params=params, scheme=scheme, coeff_count=len(coeffs), seg_bits=seg_bits,
+                 delta=delta, points=points, genuine_mask=mask), key_file
 
 
 def _generate_chaff(field, coeffs, taken_xs, count, delta, rng):
@@ -249,13 +242,19 @@ def match_points(vault: Vault, unlocking_set) -> list[tuple[int, int]]:
 
 
 def subset_search(field, candidates, coeff_count, decode, max_subsets):
-    """Interpolate at most max_subsets candidate subsets (None: no cap; a
-    negative budget raises ValueError) in lexicographic x order until
-    decode accepts one; returns (decoded value or None, subsets tried).
+    """Interpolate at most max_subsets candidate subsets in lexicographic
+    x order until decode accepts one; returns (decoded value or None,
+    subsets tried).
 
-    decode raises BadLength, MalformedFrame or SignatureMismatch to
-    reject a candidate polynomial.
+    Fewer than coeff_count candidates raise NotEnoughMatches, and a
+    negative max_subsets raises ValueError. decode raises BadLength,
+    MalformedFrame or SignatureMismatch to reject a candidate polynomial.
     """
+    if len(candidates) < coeff_count:
+        raise NotEnoughMatches(
+            f"{len(candidates)} matched points cannot determine {coeff_count} coefficients")
+    if max_subsets < 0:
+        raise ValueError(f"max_subsets must be non-negative, not {max_subsets}")
     tried = 0
     subsets = itertools.islice(itertools.combinations(candidates, coeff_count), max_subsets)
     for tried, subset in enumerate(subsets, start=1):
@@ -278,12 +277,8 @@ def unlock(vault: Vault, unlocking_set, key_file: KeyFile | None = None,
     if key_file is None:
         check_key_kind(vault.scheme, None)
     decode = message_decoder(vault, key_file)
-    candidates = match_points(vault, unlocking_set)
-    if len(candidates) < vault.coeff_count:
-        raise NotEnoughMatches(
-            f"{len(candidates)} matched points cannot determine {vault.coeff_count} coefficients")
-    message, tried = subset_search(vault.params, candidates, vault.coeff_count, decode,
-                                   max_subsets)
+    message, tried = subset_search(vault.params, match_points(vault, unlocking_set),
+                                   vault.coeff_count, decode, max_subsets)
     if message is None:
         raise DecodeFailed(f"no subset of {tried} tried produced a valid digest")
     return message

@@ -1,6 +1,20 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from dlfvault.field import gen_params
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def child_interpreters_import_src():
+    """pyproject's pythonpath puts src on this interpreter's sys.path only;
+    tests that start `python -m dlfvault.cli` need it in PYTHONPATH too."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture(scope="session")

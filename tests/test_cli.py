@@ -6,7 +6,7 @@ from dlfvault import cli
 from dlfvault._wire import pack_lpint
 from dlfvault.field import gen_params, params_from_file
 from dlfvault.vault import Scheme, lock
-from helpers import spaced_set, with_framed_len
+from helpers import keys_gen_key_never_draws, spaced_set, with_framed_len
 
 
 def write_set(path, values):
@@ -39,6 +39,13 @@ def test_params_rejects_small_bits(tmp_path):
     rc = cli.main(["params", "--bits", "7", "--seed", "1",
                    "--out", str(tmp_path / "x.dlfp")])
     assert rc == cli.EXIT_USAGE
+
+
+def test_params_bits_above_the_bound_is_a_usage_error(tmp_path):
+    rc = cli.main(["params", "--bits", "4097", "--seed", "1",
+                   "--out", str(tmp_path / "x.dlfp")])
+    assert rc == cli.EXIT_USAGE
+    assert not (tmp_path / "x.dlfp").exists()
 
 
 def test_lock_unlock_pipeline(tmp_path, capsys, field16):
@@ -395,3 +402,34 @@ def test_whole_message_key_with_a_bad_frame_length_is_a_usage_error(tmp_path, ca
                    "--key", str(tmp_path / "k.dlfk"), "--max-subsets", "200"])
     assert rc == cli.EXIT_USAGE
     assert "succeeded" not in capsys.readouterr().out
+
+
+def test_negative_max_subsets_error_names_the_option(tmp_path, capsys, field16):
+    A, vault_path, key_path = _locked_vault(tmp_path, field16, 921)
+    write_set(tmp_path / "probe.txt", A)
+    capsys.readouterr()
+    rc = cli.main(["unlock", "--vault", str(vault_path), "--set", str(tmp_path / "probe.txt"),
+                   "--key", str(key_path), "--max-subsets", "-1",
+                   "--out", str(tmp_path / "o.bin")])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "max_subsets" in err
+    assert "islice" not in err
+
+
+@pytest.mark.parametrize("scheme", [Scheme.PER_SEGMENT, Scheme.WHOLE_MESSAGE, Scheme.PARITY],
+                         ids=lambda scheme: scheme.name.lower())
+def test_key_exponents_gen_key_never_draws_are_a_usage_error(tmp_path, capsys, params256,
+                                                              scheme):
+    A = spaced_set(random.Random(922), params256.p, 10, delta=0)
+    vault, key_file = lock(b"cli", A, scheme, params256, chaff_count=2, seed=923, seg_bits=32)
+    (tmp_path / "v.dlfv").write_bytes(vault.to_bytes())
+    write_set(tmp_path / "probe.txt", A)
+    for bad in keys_gen_key_never_draws(key_file, params256.p):
+        (tmp_path / "k.dlfk").write_bytes(bad.to_bytes())
+        rc = cli.main(["unlock", "--vault", str(tmp_path / "v.dlfv"),
+                       "--set", str(tmp_path / "probe.txt"), "--key", str(tmp_path / "k.dlfk"),
+                       "--out", str(tmp_path / "o.bin")])
+        assert rc == cli.EXIT_USAGE
+        assert "exponent" in capsys.readouterr().err
+        assert not (tmp_path / "o.bin").exists()

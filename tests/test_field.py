@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from helpers import no_pow
 from dlfvault import field as field_module
 from dlfvault.errors import BadFactorization, MalformedFile, ZeroInverse
 from dlfvault.field import (
@@ -191,8 +192,21 @@ UNSAFE_FIELDS = [(29, 2), (37, 2), (23, 4), (23, 2)]
 def test_params_file_demands_a_safe_prime_and_a_primitive_root(p, alpha):
     with pytest.raises(MalformedFile, match="safe prime"):
         params_from_file(_params_file(p, alpha))
-    # in memory the field stays usable, e.g. for subgroup experiments
-    assert PrimeField(p, alpha).p == p
+    with pytest.raises(ValueError):
+        PrimeField(p, alpha)
+
+
+# one bit past the bound, and the widest p a length prefix can carry
+@pytest.mark.parametrize("bits", [field_module.MAX_P_BITS + 1, 8 * 0xFFFF])
+def test_params_file_with_a_too_wide_p_is_rejected_before_any_power(bits, monkeypatch):
+    monkeypatch.setattr(field_module, "pow", no_pow, raising=False)
+    with pytest.raises(MalformedFile, match="safe prime"):
+        params_from_file(_params_file((1 << bits) - 1, 2))
+
+
+def test_gen_params_refuses_a_field_wider_than_the_bound():
+    with pytest.raises(ValueError):
+        gen_params(field_module.MAX_P_BITS + 1, 0)
 
 
 def test_cached_proof_is_keyed_on_the_exact_pair(params256):

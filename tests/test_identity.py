@@ -168,6 +168,12 @@ def test_vault_roundtrip_validates_input():
         identity_vault_roundtrip(rec, [5] * 2 + list(range(11)), chaff_count=0, seed=0)
 
 
+def test_vault_roundtrip_rejects_a_negative_chaff_count():
+    rec = make_identity_record(5, 6)
+    with pytest.raises(ValueError, match="chaff_count"):
+        identity_vault_roundtrip(rec, list(range(0, 260, 20)), chaff_count=-1, seed=0)
+
+
 def test_corrupted_point_rejected_through_interpolation():
     # a wrong y on one genuine point perturbs every recovered
     # coefficient, and the checksum catches it

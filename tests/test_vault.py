@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from helpers import spaced_set, with_framed_len
-from dlfvault import field as field_module
+from helpers import keys_gen_key_never_draws, no_pow, spaced_set, vault_file, with_framed_len
+from dlfvault import dlog_codec, field as field_module
+from dlfvault.attacks import brute_force_unlock_attack
 from dlfvault.dlog_codec import KIND_SINGLE, KeyFile, gen_key, message_decoder
 from dlfvault.errors import (
     BadLength,
@@ -343,10 +344,32 @@ def test_vault_file_rejects_headers_lock_never_writes(params64):
 
 @pytest.mark.parametrize("p, alpha", [(29, 2), (37, 2), (23, 4), (23, 2)])
 def test_vault_file_demands_a_safe_prime_and_a_primitive_root(p, alpha):
-    vault = Vault(params=PrimeField(p, alpha), scheme=Scheme.CLASSICAL, coeff_count=1,
-                  seg_bits=8, delta=0, points=[(1, 2), (5, 7)])
     with pytest.raises(MalformedFile, match="safe prime"):
-        Vault.from_bytes(vault.to_bytes())
+        Vault.from_bytes(vault_file(p, alpha, [(1, 2), (5, 7)]))
+
+
+@pytest.mark.parametrize("bits", [field_module.MAX_P_BITS + 1, 8 * 0xFFFF])
+def test_vault_file_with_a_too_wide_p_is_rejected_before_any_power(bits, monkeypatch):
+    monkeypatch.setattr(field_module, "pow", no_pow, raising=False)
+    with pytest.raises(MalformedFile, match="safe prime"):
+        Vault.from_bytes(vault_file((1 << bits) - 1, 2, []))
+
+
+@pytest.mark.parametrize("scheme", [Scheme.PER_SEGMENT, Scheme.WHOLE_MESSAGE, Scheme.PARITY],
+                         ids=lambda scheme: scheme.name.lower())
+def test_key_exponents_gen_key_never_draws_are_rejected_before_any_power(params256, scheme,
+                                                                          monkeypatch):
+    A = spaced_set(random.Random(70), params256.p, 10, delta=0)
+    vault, key_file = lock(b"key", A, scheme, params256, chaff_count=3, seed=71, seg_bits=32)
+    assert unlock(vault, A, key_file) == b"key"
+
+    monkeypatch.setattr(field_module, "pow", no_pow, raising=False)
+    monkeypatch.setattr(dlog_codec, "pow", no_pow, raising=False)
+    for bad in keys_gen_key_never_draws(key_file, params256.p):
+        with pytest.raises(MalformedFile, match="exponent"):
+            unlock(vault, A, bad)
+        with pytest.raises(MalformedFile, match="exponent"):
+            brute_force_unlock_attack(vault, bad, max_subsets=10)
 
 
 def test_a_loaded_field_is_proven_once(params256, monkeypatch):
