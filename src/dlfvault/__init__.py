@@ -20,15 +20,7 @@ from .attacks import (
     solve_dlog_bsgs,
     sweep_csv,
 )
-from .dlog_codec import (
-    EphemeralKey,
-    KeyFile,
-    decode_segment,
-    decode_whole,
-    encode_segment,
-    encode_whole,
-    gen_key,
-)
+from .dlog_codec import EphemeralKey, KeyFile, gen_key
 from .errors import (
     BadArguments,
     BadFactorization,

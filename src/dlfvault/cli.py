@@ -106,8 +106,8 @@ def _cmd_params(args) -> int:
     if args.bits < 8:
         raise ValueError("--bits must be at least 8")
     seed = args.seed if args.seed is not None else _fresh_seed()
-    print(f"seed={seed}")
     field = gen_params(args.bits, seed)
+    print(f"seed={seed}")
     _write_bytes(args.out, params_to_file(field))
     print(f"bits={field.p_bits}")
     print(f"p={field.p:#x}")

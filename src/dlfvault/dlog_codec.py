@@ -9,7 +9,10 @@ exponent: one kappa under a single key, kappa_even or kappa_odd by the
 1-based segment index under a parity key, no mask under a none key.
 The whole-message scheme masks before the split, per-segment and parity
 after it, and classical only splits. message_decoder runs the pipeline
-backwards with the inverse powers, so the maps are exact inverses.
+backwards with the inverse masks, so the maps are exact inverses. Each
+map computes one power per exponent, so a message's masks cost one
+power under a single key and two under a parity key, whatever its
+segment count.
 """
 
 from __future__ import annotations
@@ -95,49 +98,14 @@ def key_exponent(key: EphemeralKey, index: int) -> int:
     raise ValueError("key carries no exponent")
 
 
-def encode_segment(params: PrimeField, m_i: int, key: EphemeralKey, index: int) -> int:
-    """m_i * alpha^kappa in F_p for the segment at the given 1-based index."""
-    mult = params.pow(params.alpha, key_exponent(key, index))
-    return params.mul(m_i % params.p, mult)
-
-
-def inverse_power(params: PrimeField, exponent: int) -> int:
-    """(alpha^exponent)^-1, the multiplier every decoding map applies. alpha
-    has order p - 1 in every PrimeField, so that is alpha^(p - 1 - exponent)."""
-    return pow(params.alpha, params.p - 1 - exponent, params.p)
-
-
-def decode_segment(params: PrimeField, beta_i: int, key: EphemeralKey, index: int) -> int:
-    """Exact inverse of encode_segment at the same index."""
-    return params.mul(beta_i % params.p, inverse_power(params, key_exponent(key, index)))
-
-
-def encode_whole(params: PrimeField, framed: bytes, key: EphemeralKey) -> int:
-    """Treat the whole framed message as one integer and encrypt it.
-
-    The integer must fit strictly below p; otherwise the decoding map
-    would not be injective, so MessageTooLarge is raised instead.
-    """
-    value = int.from_bytes(framed, "big")
-    if value >= params.p:
-        raise MessageTooLarge(
-            f"framed message spans {value.bit_length()} bits, field holds only {params.p_bits - 1}")
-    return params.mul(value, params.pow(params.alpha, key.kappa))
-
-
-def decode_whole(params: PrimeField, beta: int, key: EphemeralKey, framed_len: int) -> bytes:
-    """Invert encode_whole and re-serialize to the recorded framed length."""
-    return unmask_whole(params, beta, inverse_power(params, key.kappa), framed_len)
-
-
-def unmask_whole(params: PrimeField, beta: int, inverse: int, framed_len: int) -> bytes:
-    """decode_whole with the inverse power already computed, so a caller
-    trying many candidate betas under one key pays the inversion once."""
-    value = params.mul(beta % params.p, inverse)
-    try:
-        return value.to_bytes(framed_len, "big")
-    except OverflowError:
-        raise BadLength("decoded value is wider than the recorded frame length") from None
+def _masks(params: PrimeField, key: EphemeralKey, count: int, inverse: bool) -> list[int]:
+    """The multiplier of each 1-based segment index 1..count: alpha^e for
+    the index's exponent e, or with inverse its inverse alpha^(p - 1 - e)
+    (alpha has order p - 1). One power per distinct exponent."""
+    p = params.p
+    exponents = [key_exponent(key, i) for i in range(1, count + 1)]
+    powers = {e: pow(params.alpha, p - 1 - e if inverse else e, p) for e in set(exponents)}
+    return [powers[e] for e in exponents]
 
 
 @dataclass(frozen=True)
@@ -209,14 +177,20 @@ def encode_message(params: PrimeField, scheme: Scheme, message: bytes, seg_bits:
         raise BadLength(f"{seg_bits}-bit segments do not embed into a {params.p_bits}-bit field")
     key = gen_key(params, _SCHEME_KEY_KIND[scheme], seed)
     framed = framing.frame(message, seg_bits)
-    framed_len = 0
+    p, framed_len = params.p, 0
     if scheme is Scheme.WHOLE_MESSAGE:
-        framed_len = len(framed)
+        # the framed integer must lie below p, or unmasking could not recover it
+        framed_len, value = len(framed), int.from_bytes(framed, "big")
+        if value >= p:
+            raise MessageTooLarge(f"framed message spans {value.bit_length()} bits, "
+                                  f"field holds only {params.p_bits - 1}")
         width = whole_chunks(params, seg_bits) * seg_bits // 8
-        framed = encode_whole(params, framed, key).to_bytes(width, "big")
+        (mask,) = _masks(params, key, 1, inverse=False)
+        framed = (value * mask % p).to_bytes(width, "big")
     coeffs = framing.segment(framed, seg_bits)
     if scheme in _SEGMENT_MASKED:
-        coeffs = [encode_segment(params, s, key, i) for i, s in enumerate(coeffs, start=1)]
+        masks = _masks(params, key, len(coeffs), inverse=False)
+        coeffs = [s * m % p for s, m in zip(coeffs, masks)]
     return coeffs, KeyFile(key=key, framed_len=framed_len)
 
 
@@ -227,9 +201,9 @@ def message_decoder(vault, key_file: KeyFile | None):
     kind, with exponents gen_key draws and a frame length the vault can
     hold; with no key nothing is unmasked.
     The decoder raises BadLength, MalformedFrame or SignatureMismatch on
-    a wrong candidate. Inverse powers are computed once here.
+    a wrong candidate. The inverse masks are computed once here.
     """
-    params, seg_bits = vault.params, vault.seg_bits
+    params, seg_bits, p = vault.params, vault.seg_bits, vault.params.p
     segment_inverses, whole_inverse, framed_len = [], None, 0
     if key_file is not None:
         check_key_kind(vault.scheme, key_file)
@@ -245,17 +219,19 @@ def message_decoder(vault, key_file: KeyFile | None):
         if not fits:
             raise MalformedFile(f"a {vault.scheme.name} vault never has a {framed_len}-byte frame")
         if vault.scheme in _SEGMENT_MASKED:
-            segment_inverses = [inverse_power(params, key_exponent(key, i))
-                                for i in range(1, vault.coeff_count + 1)]
+            segment_inverses = _masks(params, key, vault.coeff_count, inverse=True)
         elif vault.scheme is Scheme.WHOLE_MESSAGE:
-            whole_inverse = inverse_power(params, key.kappa)
+            (whole_inverse,) = _masks(params, key, 1, inverse=True)
 
     def decode(coeffs):
         if segment_inverses:
-            coeffs = [params.mul(c, m) for c, m in zip(coeffs, segment_inverses)]
+            coeffs = [c * m % p for c, m in zip(coeffs, segment_inverses)]
         framed = framing.reassemble(coeffs, seg_bits)
         if whole_inverse is not None:
-            framed = unmask_whole(params, int.from_bytes(framed, "big"), whole_inverse,
-                                  framed_len)
+            value = int.from_bytes(framed, "big") * whole_inverse % p
+            try:
+                framed = value.to_bytes(framed_len, "big")
+            except OverflowError:
+                raise BadLength("decoded value is wider than the recorded frame length") from None
         return framing.deframe(framed)
     return decode

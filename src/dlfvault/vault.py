@@ -17,6 +17,7 @@ import hashlib
 import itertools
 import random
 import struct
+import sys
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field as dc_field
 
@@ -256,7 +257,9 @@ def subset_search(field, candidates, coeff_count, decode, max_subsets):
     if max_subsets < 0:
         raise ValueError(f"max_subsets must be non-negative, not {max_subsets}")
     tried = 0
-    subsets = itertools.islice(itertools.combinations(candidates, coeff_count), max_subsets)
+    # islice takes no stop above sys.maxsize, and no run gets that far
+    subsets = itertools.islice(itertools.combinations(candidates, coeff_count),
+                               min(max_subsets, sys.maxsize))
     for tried, subset in enumerate(subsets, start=1):
         coeffs = lagrange_interpolate(field, list(subset), coeff_count)
         try:

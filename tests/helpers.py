@@ -1,5 +1,6 @@
 """Shared construction helpers for the test suite."""
 
+import builtins
 import dataclasses
 import struct
 
@@ -57,6 +58,19 @@ def no_pow(*args):
     """Stand-in for the builtin pow in a module under test, to show that a
     rejection computes no modular exponentiation."""
     raise AssertionError("modular exponentiation computed")
+
+
+class PowCounter:
+    """Stand-in for the builtin pow in a module under test that counts the
+    modular powers computed; inversions (exponent -1) are not counted."""
+
+    def __init__(self):
+        self.powers = 0
+
+    def __call__(self, base, exponent, mod=None):
+        if exponent >= 0:
+            self.powers += 1
+        return builtins.pow(base, exponent, mod)
 
 
 def keys_gen_key_never_draws(key_file, p):

@@ -433,3 +433,22 @@ def test_key_exponents_gen_key_never_draws_are_a_usage_error(tmp_path, capsys, p
         assert rc == cli.EXIT_USAGE
         assert "exponent" in capsys.readouterr().err
         assert not (tmp_path / "o.bin").exists()
+
+
+def test_params_bits_above_the_bound_prints_no_seed(tmp_path, capsys):
+    rc = cli.main(["params", "--bits", "4097", "--seed", "1", "--out", str(tmp_path / "x.dlfp")])
+    assert rc == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: bits must lie in [5, 4096], not 4097\n"
+
+
+def test_max_subsets_above_sys_maxsize_still_opens_the_vault(tmp_path, capsys, field16):
+    A, vault_path, key_path = _locked_vault(tmp_path, field16, 923)
+    write_set(tmp_path / "probe.txt", A)
+    rc = cli.main(["unlock", "--vault", str(vault_path), "--set", str(tmp_path / "probe.txt"),
+                   "--key", str(key_path), "--max-subsets", "99999999999999999999",
+                   "--out", str(tmp_path / "o.bin")])
+    assert rc == cli.EXIT_OK
+    assert (tmp_path / "o.bin").read_bytes() == b""
+    assert "islice" not in capsys.readouterr().err

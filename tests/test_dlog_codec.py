@@ -1,45 +1,74 @@
+import dataclasses
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from dlfvault import dlog_codec, field as field_module
 from dlfvault.dlog_codec import (
     KIND_NONE,
     KIND_PARITY,
     KIND_SINGLE,
     EphemeralKey,
     KeyFile,
-    decode_segment,
-    decode_whole,
-    encode_segment,
-    encode_whole,
+    Scheme,
+    encode_message,
     gen_key,
     key_exponent,
+    message_decoder,
 )
-from dlfvault.errors import BadLength, MalformedFile, MessageTooLarge
+from dlfvault.errors import (
+    BadLength,
+    MalformedFile,
+    MalformedFrame,
+    MessageTooLarge,
+    SignatureMismatch,
+)
 from dlfvault.field import PrimeField
-from dlfvault.framing import frame
-from helpers import with_framed_len
+from dlfvault.framing import frame, segment
+from dlfvault.vault import lock, unlock
+from helpers import (
+    PowCounter,
+    feasible_whole_message_lengths,
+    spaced_set,
+    with_framed_len,
+)
+
+def decoder(params, scheme, seg_bits, coeffs, key_file):
+    """message_decoder for a vault that holds exactly these coefficients."""
+    vault = SimpleNamespace(params=params, scheme=scheme, seg_bits=seg_bits,
+                            coeff_count=len(coeffs))
+    return message_decoder(vault, key_file)
 
 
-F23 = PrimeField(23, 5)
+def masked_segments(params, message, seg_bits, exponent_at):
+    """Oracle: each segment s_i of the framed message times alpha^e_i mod p,
+    e_i = exponent_at(i) for the 1-based index i, by the builtin pow."""
+    p = params.p
+    return [s * pow(params.alpha, exponent_at(i), p) % p
+            for i, s in enumerate(segment(frame(message, seg_bits), seg_bits), start=1)]
 
 
-def test_encode_segment_worked_example():
-    # alpha^4 = 4 in F_23, so segment 3 encodes to 12
-    key = EphemeralKey(KIND_SINGLE, kappa=4)
-    assert encode_segment(F23, 3, key, 1) == 12
-    assert decode_segment(F23, 12, key, 1) == 3
+def test_per_segment_coeffs_are_segments_times_alpha_kappa(params64):
+    message = b"worked example"
+    coeffs, key_file = encode_message(params64, Scheme.PER_SEGMENT, message, 16, seed=3)
+    kappa = key_file.key.kappa
+    assert len(coeffs) == 19  # 8 header + 14 message + 16 digest bytes
+    assert coeffs == masked_segments(params64, message, 16, lambda i: kappa)
+    assert decoder(params64, Scheme.PER_SEGMENT, 16, coeffs, key_file)(coeffs) == message
 
 
-def test_parity_key_dispatches_on_index():
+def test_parity_key_dispatches_on_index(params64):
     key = EphemeralKey(KIND_PARITY, kappa_even=2, kappa_odd=3)
     assert key_exponent(key, 1) == 3
     assert key_exponent(key, 2) == 2
     assert key_exponent(key, 3) == 3
-    # 5^2 = 2 and 5^3 = 10 mod 23
-    assert encode_segment(F23, 3, key, 2) == 6
-    assert encode_segment(F23, 3, key, 1) == (3 * 10) % 23
-    assert decode_segment(F23, 6, key, 2) == 3
+    message = b"even and odd"
+    coeffs, key_file = encode_message(params64, Scheme.PARITY, message, 16, seed=4)
+    even, odd = key_file.key.kappa_even, key_file.key.kappa_odd
+    assert coeffs == masked_segments(params64, message, 16,
+                                     lambda i: even if i % 2 == 0 else odd)
+    assert decoder(params64, Scheme.PARITY, 16, coeffs, key_file)(coeffs) == message
 
 
 def test_none_key_has_no_exponent():
@@ -77,47 +106,102 @@ def test_gen_key_deterministic(params64):
 def test_segment_roundtrip_random(params64):
     rng = random.Random(30)
     for _ in range(200):
-        kind = rng.choice([KIND_SINGLE, KIND_PARITY])
-        key = gen_key(params64, kind, rng.randrange(1 << 30))
-        index = rng.randrange(1, 40)
-        m = rng.randrange(params64.p)
-        beta = encode_segment(params64, m, key, index)
-        assert decode_segment(params64, beta, key, index) == m
+        scheme = rng.choice([Scheme.PER_SEGMENT, Scheme.PARITY])
+        message = rng.randbytes(rng.randrange(0, 40))
+        seg_bits = rng.choice([8, 16, 32])
+        coeffs, key_file = encode_message(params64, scheme, message, seg_bits,
+                                          rng.randrange(1 << 30))
+        assert decoder(params64, scheme, seg_bits, coeffs, key_file)(coeffs) == message
 
 
 def test_parity_wrong_index_class_decodes_wrong(params64):
-    key = gen_key(params64, KIND_PARITY, 99)
-    m = 123456
-    beta = encode_segment(params64, m, key, 2)
-    assert decode_segment(params64, beta, key, 3) != m
+    message = b"parity class"
+    coeffs, key_file = encode_message(params64, Scheme.PARITY, message, 16, seed=99)
+    even, odd = key_file.key.kappa_even, key_file.key.kappa_odd
+    # every segment masked with the other index class's exponent
+    swapped = masked_segments(params64, message, 16, lambda i: odd if i % 2 == 0 else even)
+    decode = decoder(params64, Scheme.PARITY, 16, coeffs, key_file)
+    assert decode(coeffs) == message
+    with pytest.raises((BadLength, MalformedFrame, SignatureMismatch)):
+        decode(swapped)
+
+
+def whole_coeffs(params, message, seg_bits, kappa):
+    """Oracle: the framed integer times alpha^kappa mod p, split into
+    seg_bits chunks spanning p's width."""
+    width = -(-params.p_bits // seg_bits) * seg_bits // 8
+    value = int.from_bytes(frame(message, seg_bits), "big")
+    masked = value * pow(params.alpha, kappa, params.p) % params.p
+    return segment(masked.to_bytes(width, "big"), seg_bits)
 
 
 def test_whole_roundtrip(params256):
     rng = random.Random(31)
+    lengths = feasible_whole_message_lengths(params256, 16)
     for _ in range(100):
-        m = rng.randbytes(rng.randrange(0, 6))
-        framed = frame(m, seg_bits=16)
-        key = gen_key(params256, KIND_SINGLE, rng.randrange(1 << 30))
-        beta = encode_whole(params256, framed, key)
-        assert decode_whole(params256, beta, key, len(framed)) == framed
+        message = rng.randbytes(rng.choice(lengths))
+        coeffs, key_file = encode_message(params256, Scheme.WHOLE_MESSAGE, message, 16,
+                                          rng.randrange(1 << 30))
+        assert key_file.framed_len == len(frame(message, 16))
+        assert coeffs == whole_coeffs(params256, message, 16, key_file.key.kappa)
+        decode = decoder(params256, Scheme.WHOLE_MESSAGE, 16, coeffs, key_file)
+        assert decode(coeffs) == message
 
 
-def test_whole_message_too_large(params64):
-    key = gen_key(params64, KIND_SINGLE, 1)
-    framed = frame(b"", seg_bits=16)  # 24 bytes, far over a 64-bit p
+def test_whole_message_too_large(params64, params256, monkeypatch):
+    # an empty message frames to 24 bytes, far over a 64-bit p
     with pytest.raises(MessageTooLarge):
-        encode_whole(params64, framed, key)
-    # boundary: the field size itself is already too large
-    with pytest.raises(MessageTooLarge):
-        encode_whole(params64, params64.p.to_bytes(8, "big"), key)
+        encode_message(params64, Scheme.WHOLE_MESSAGE, b"", 16, seed=1)
+    for length in range(48):
+        message = bytes(range(length))
+        fits = int.from_bytes(frame(message, 8), "big") < params256.p
+        if fits:
+            encode_message(params256, Scheme.WHOLE_MESSAGE, message, 8, seed=1)
+        else:
+            with pytest.raises(MessageTooLarge):
+                encode_message(params256, Scheme.WHOLE_MESSAGE, message, 8, seed=1)
+    # boundary: a framed integer of p - 1 fits, the field size itself does not
+    for value, fits in [(params64.p - 1, True), (params64.p, False)]:
+        monkeypatch.setattr(dlog_codec.framing, "frame",
+                            lambda message, seg_bits, value=value: value.to_bytes(8, "big"))
+        if fits:
+            encode_message(params64, Scheme.WHOLE_MESSAGE, b"", 16, seed=1)
+        else:
+            with pytest.raises(MessageTooLarge):
+                encode_message(params64, Scheme.WHOLE_MESSAGE, b"", 16, seed=1)
 
 
-def test_decode_whole_rejects_short_frame_length(params256):
-    key = gen_key(params256, KIND_SINGLE, 2)
-    framed = frame(b"abcde", seg_bits=16)
-    beta = encode_whole(params256, framed, key)
+def test_whole_unmask_rejects_short_frame_length(params256):
+    message = b"abcdefghij"
+    coeffs, key_file = encode_message(params256, Scheme.WHOLE_MESSAGE, message, 16, seed=2)
+    assert key_file.framed_len == 34
+    # the unmasked value spans 27 bytes; a 24-byte frame cannot hold it
+    short = dataclasses.replace(key_file, framed_len=24)
     with pytest.raises(BadLength):
-        decode_whole(params256, beta, key, 4)
+        decoder(params256, Scheme.WHOLE_MESSAGE, 16, coeffs, short)(coeffs)
+
+
+@pytest.mark.parametrize("scheme, powers, message", [
+    (Scheme.CLASSICAL, 0, b"four"),
+    (Scheme.PER_SEGMENT, 1, b"four"),
+    (Scheme.PER_SEGMENT, 1, bytes(80)),
+    (Scheme.PARITY, 2, b"four"),
+    (Scheme.PARITY, 2, bytes(80)),
+    (Scheme.WHOLE_MESSAGE, 1, b"four"),
+], ids=["classical", "per-segment-7-coeffs", "per-segment-26-coeffs", "parity-7-coeffs",
+        "parity-26-coeffs", "whole-message"])
+def test_lock_and_unlock_compute_one_power_per_exponent(params256, monkeypatch, scheme,
+                                                        powers, message):
+    A = spaced_set(random.Random(40), params256.p, 32, delta=0)
+    counter = PowCounter()
+    monkeypatch.setattr(field_module, "pow", counter, raising=False)
+    monkeypatch.setattr(dlog_codec, "pow", counter, raising=False)
+    vault, key_file = lock(message, A, scheme, params256, chaff_count=6, seed=41, seg_bits=32)
+    assert scheme is Scheme.WHOLE_MESSAGE or vault.coeff_count >= 7
+    assert counter.powers == powers
+    counter.powers = 0
+    assert unlock(vault, A, key_file) == message
+    assert counter.powers == powers
 
 
 def test_key_file_roundtrip_all_kinds(params64):

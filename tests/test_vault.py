@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import sys
 
 import pytest
 
@@ -492,3 +493,16 @@ def test_negative_max_subsets_is_rejected(params64):
     with pytest.raises(ValueError) as exc_info:
         unlock(vault, A, wrong, max_subsets=-1)
     assert type(exc_info.value) is ValueError
+
+
+def test_max_subsets_above_sys_maxsize_still_opens_the_vault(params64):
+    # islice rejects a stop above sys.maxsize; the budget is capped there instead
+    rng = random.Random(67)
+    msg = b"no limit"
+    n = len(frame(msg, 16)) // 2
+    A = spaced_set(rng, params64.p, n + 4, delta=0)
+    vault, key_file = lock(msg, A, Scheme.PER_SEGMENT, params64, chaff_count=4, seed=68,
+                           seg_bits=16)
+    assert unlock(vault, A, key_file, max_subsets=sys.maxsize + 1) == msg
+    result = brute_force_unlock_attack(vault, key_file, max_subsets=sys.maxsize + 1)
+    assert result.succeeded and result.message == msg
