@@ -20,7 +20,7 @@ from .attacks import (
     solve_dlog_bsgs,
     sweep_csv,
 )
-from .dlog_codec import EphemeralKey, KeyFile, gen_key
+from .dlog_codec import KeyFile, gen_key
 from .errors import (
     BadArguments,
     BadFactorization,
@@ -69,11 +69,9 @@ from .vault import (
     DEFAULT_MAX_SUBSETS,
     Scheme,
     Vault,
-    classical_coeff_check,
     lock,
     match_points,
     unlock,
-    verify_coefficients,
 )
 
 __version__ = "0.1.0"

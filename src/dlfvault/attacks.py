@@ -35,11 +35,15 @@ def published_poly_prob(r: int, t: int, n: int) -> float:
     """The printed polynomial-recovery figure (r / (r - t)) ** n.
 
     Not a probability: it grows past 1 as soon as chaff is scarce.
-    Compare against exact_success_prob for the real chance.
+    Compare against exact_success_prob for the real chance. A figure
+    too large for a float is math.inf.
     """
     if r == t:
         raise ZeroDivisionError("published formula is undefined at r = t")
-    return (r / (r - t)) ** n
+    try:
+        return (r / (r - t)) ** n
+    except OverflowError:
+        return math.inf
 
 
 def exact_success_prob(r: int, t: int, n: int) -> Fraction:

@@ -26,7 +26,6 @@ from ._wire import check_end, pack_lpint, read_header, take, unpack_lpint
 from .dlog_codec import (
     KeyFile,
     Scheme,
-    check_key_kind,
     encode_message,
     message_decoder,
     whole_chunks,
@@ -41,7 +40,6 @@ from .errors import (
     MalformedFrame,
     NotEnoughMatches,
     SignatureMismatch,
-    WrongCount,
 )
 from .field import PrimeField
 from .polynomial import eval_poly, lagrange_interpolate
@@ -277,24 +275,9 @@ def unlock(vault: Vault, unlocking_set, key_file: KeyFile | None = None,
     of the matches are interpolated until the framed digest verifies.
     key_file may be omitted for classical vaults only.
     """
-    if key_file is None:
-        check_key_kind(vault.scheme, None)
-    decode = message_decoder(vault, key_file)
+    decode = message_decoder(vault, key_file or KeyFile())
     message, tried = subset_search(vault.params, match_points(vault, unlocking_set),
                                    vault.coeff_count, decode, max_subsets)
     if message is None:
         raise DecodeFailed(f"no subset of {tried} tried produced a valid digest")
     return message
-
-
-def verify_coefficients(recovered: list[int], expected: list[int]) -> bool:
-    """Exact equality; field interpolation leaves no tolerance to apply."""
-    if len(recovered) != len(expected):
-        raise WrongCount(f"coefficient lists differ in length: "
-                         f"{len(recovered)} vs {len(expected)}")
-    return recovered == expected
-
-
-def classical_coeff_check(l: int, params: PrimeField) -> int:
-    """Coefficients a classical vault needs for an l-bit payload in this field."""
-    return framing.required_coeff_count(l, params.p)

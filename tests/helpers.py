@@ -5,7 +5,6 @@ import dataclasses
 import struct
 
 from dlfvault._wire import pack_lpint
-from dlfvault.dlog_codec import KIND_PARITY
 
 # 65,535 bytes, the widest integer a DLFK length prefix carries; even
 WIDE_EXPONENT = 1 << 8 * 0xFFFF - 1
@@ -76,9 +75,8 @@ class PowCounter:
 def keys_gen_key_never_draws(key_file, p):
     """Copies of a single or parity key file with one exponent at 0, p - 1
     or WIDE_EXPONENT; for a parity key also the two exponents swapped."""
-    key = key_file.key
-    slot = "kappa_even" if key.kind == KIND_PARITY else "kappa"
-    keys = [dataclasses.replace(key, **{slot: k}) for k in (0, p - 1, WIDE_EXPONENT)]
-    if key.kind == KIND_PARITY:
-        keys.append(dataclasses.replace(key, kappa_even=key.kappa_odd, kappa_odd=key.kappa_even))
-    return [dataclasses.replace(key_file, key=k) for k in keys]
+    first, *rest = key_file.exponents
+    keys = [(k, *rest) for k in (0, p - 1, WIDE_EXPONENT)]
+    if rest:
+        keys.append(key_file.exponents[::-1])
+    return [dataclasses.replace(key_file, exponents=k) for k in keys]

@@ -120,6 +120,18 @@ def test_attack_report_fields_and_notes():
         attack_report(10, 10, 3, trials=100, seed=1)
 
 
+def test_paper_eq30_too_large_for_a_float_reads_inf():
+    # (1001 / 1) ** 1000 overflows a float; the report still runs every route
+    assert published_poly_prob(1001, 1000, 1000) == math.inf
+    rep = attack_report(1001, 1000, 1000, trials=1, seed=1)
+    assert rep.published_poly_prob == math.inf
+    assert rep.exact_prob == Fraction(1, 1001)
+    assert rep.empirical_rate == 0.0
+    assert any(note.startswith("paper_eq30 inf exceeds 1") for note in rep.notes)
+    assert "paper_eq30=inf\n" in rep.to_text()
+    assert rep.to_csv_row() == "1001,1000,1000,inf,1/1001,0.0,0.0,1"
+
+
 def test_csv_layout():
     reports = [attack_report(r, 5, 3, trials=500, seed=4) for r in (10, 12)]
     text = sweep_csv(reports)

@@ -201,6 +201,21 @@ def test_exit_code_key_kind_mismatch(tmp_path, field16):
     assert rc == cli.EXIT_USAGE
 
 
+def test_unlock_a_parity_vault_with_a_classical_key_or_none_names_both_kinds(tmp_path,
+                                                                              capsys, field16):
+    A, vault_path, _ = _locked_vault(tmp_path, field16, 924, scheme="parity")
+    _, _, none_key = _locked_vault(tmp_path, field16, 925, scheme="classical")
+    write_set(tmp_path / "probe.txt", A)
+    unlock = ["unlock", "--vault", str(vault_path), "--set", str(tmp_path / "probe.txt"),
+              "--out", str(tmp_path / "o.bin")]
+    capsys.readouterr()
+    for key in (["--key", str(none_key)], []):
+        assert cli.main(unlock + key) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: scheme PARITY needs a 'parity' key, got 'none'\n")
+        assert not (tmp_path / "o.bin").exists()
+
+
 def test_exit_code_io_error(tmp_path):
     rc = cli.main(["unlock", "--vault", str(tmp_path / "absent.dlfv"),
                    "--set", str(tmp_path / "absent.txt"),
@@ -325,6 +340,18 @@ def test_attack_csv_flag_single_point(capsys):
     assert rc == 0
     printed = capsys.readouterr().out
     assert "r,t,n,paper_eq30,exact,empirical,stderr,trials" in printed
+
+
+def test_attack_paper_eq30_too_large_for_a_float_prints_inf(capsys):
+    argv = ["attack", "--r", "1001", "--t", "1000", "--n", "1000", "--trials", "1",
+            "--seed", "1"]
+    assert cli.main(argv) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "paper_eq30=inf\n" in out
+    assert "exact=1/1001\n" in out
+    assert "note=paper_eq30 inf exceeds 1" in out
+    assert cli.main(argv + ["--csv"]) == cli.EXIT_OK
+    assert "\n1001,1000,1000,inf,1/1001,0.0,0.0,1\n" in capsys.readouterr().out
 
 
 def test_attack_vault_mode(tmp_path, capsys, field16):

@@ -5,18 +5,8 @@ from types import SimpleNamespace
 import pytest
 
 from dlfvault import dlog_codec, field as field_module
-from dlfvault.dlog_codec import (
-    KIND_NONE,
-    KIND_PARITY,
-    KIND_SINGLE,
-    EphemeralKey,
-    KeyFile,
-    Scheme,
-    encode_message,
-    gen_key,
-    key_exponent,
-    message_decoder,
-)
+from dlfvault._wire import unpack_lpint
+from dlfvault.dlog_codec import KeyFile, Scheme, encode_message, gen_key, message_decoder
 from dlfvault.errors import (
     BadLength,
     MalformedFile,
@@ -52,53 +42,43 @@ def masked_segments(params, message, seg_bits, exponent_at):
 def test_per_segment_coeffs_are_segments_times_alpha_kappa(params64):
     message = b"worked example"
     coeffs, key_file = encode_message(params64, Scheme.PER_SEGMENT, message, 16, seed=3)
-    kappa = key_file.key.kappa
+    (kappa,) = key_file.exponents
     assert len(coeffs) == 19  # 8 header + 14 message + 16 digest bytes
     assert coeffs == masked_segments(params64, message, 16, lambda i: kappa)
     assert decoder(params64, Scheme.PER_SEGMENT, 16, coeffs, key_file)(coeffs) == message
 
 
 def test_parity_key_dispatches_on_index(params64):
-    key = EphemeralKey(KIND_PARITY, kappa_even=2, kappa_odd=3)
-    assert key_exponent(key, 1) == 3
-    assert key_exponent(key, 2) == 2
-    assert key_exponent(key, 3) == 3
     message = b"even and odd"
     coeffs, key_file = encode_message(params64, Scheme.PARITY, message, 16, seed=4)
-    even, odd = key_file.key.kappa_even, key_file.key.kappa_odd
+    even, odd = key_file.exponents
     assert coeffs == masked_segments(params64, message, 16,
                                      lambda i: even if i % 2 == 0 else odd)
     assert decoder(params64, Scheme.PARITY, 16, coeffs, key_file)(coeffs) == message
 
 
-def test_none_key_has_no_exponent():
-    key = EphemeralKey(KIND_NONE)
-    with pytest.raises(ValueError):
-        key_exponent(key, 1)
-
-
 def test_gen_key_ranges_and_parity(params64):
     for seed in range(300):
-        single = gen_key(params64, KIND_SINGLE, seed)
-        assert 1 <= single.kappa <= params64.p - 2
-        parity = gen_key(params64, KIND_PARITY, seed)
-        assert 1 <= parity.kappa_even <= params64.p - 2
-        assert 1 <= parity.kappa_odd <= params64.p - 2
-        assert parity.kappa_even % 2 == 0
-        assert parity.kappa_odd % 2 == 1
+        (kappa,) = gen_key(params64, Scheme.PER_SEGMENT, seed)
+        assert 1 <= kappa <= params64.p - 2
+        even, odd = gen_key(params64, Scheme.PARITY, seed)
+        assert 1 <= even <= params64.p - 2
+        assert 1 <= odd <= params64.p - 2
+        assert even % 2 == 0
+        assert odd % 2 == 1
 
 
 def test_gen_key_smallest_field():
     f5 = PrimeField(5, 2)
     for seed in range(20):
-        parity = gen_key(f5, KIND_PARITY, seed)
-        assert parity.kappa_even == 2
-        assert parity.kappa_odd in (1, 3)
+        even, odd = gen_key(f5, Scheme.PARITY, seed)
+        assert even == 2
+        assert odd in (1, 3)
 
 
 def test_gen_key_deterministic(params64):
-    assert gen_key(params64, KIND_SINGLE, 7) == gen_key(params64, KIND_SINGLE, 7)
-    assert gen_key(params64, KIND_SINGLE, 7) != gen_key(params64, KIND_SINGLE, 8)
+    assert gen_key(params64, Scheme.PER_SEGMENT, 7) == gen_key(params64, Scheme.PER_SEGMENT, 7)
+    assert gen_key(params64, Scheme.PER_SEGMENT, 7) != gen_key(params64, Scheme.PER_SEGMENT, 8)
     with pytest.raises(ValueError):
         gen_key(params64, "half", 7)
 
@@ -117,7 +97,7 @@ def test_segment_roundtrip_random(params64):
 def test_parity_wrong_index_class_decodes_wrong(params64):
     message = b"parity class"
     coeffs, key_file = encode_message(params64, Scheme.PARITY, message, 16, seed=99)
-    even, odd = key_file.key.kappa_even, key_file.key.kappa_odd
+    even, odd = key_file.exponents
     # every segment masked with the other index class's exponent
     swapped = masked_segments(params64, message, 16, lambda i: odd if i % 2 == 0 else even)
     decode = decoder(params64, Scheme.PARITY, 16, coeffs, key_file)
@@ -143,7 +123,7 @@ def test_whole_roundtrip(params256):
         coeffs, key_file = encode_message(params256, Scheme.WHOLE_MESSAGE, message, 16,
                                           rng.randrange(1 << 30))
         assert key_file.framed_len == len(frame(message, 16))
-        assert coeffs == whole_coeffs(params256, message, 16, key_file.key.kappa)
+        assert coeffs == whole_coeffs(params256, message, 16, *key_file.exponents)
         decode = decoder(params256, Scheme.WHOLE_MESSAGE, 16, coeffs, key_file)
         assert decode(coeffs) == message
 
@@ -206,17 +186,17 @@ def test_lock_and_unlock_compute_one_power_per_exponent(params256, monkeypatch, 
 
 def test_key_file_roundtrip_all_kinds(params64):
     for key, framed_len in [
-        (gen_key(params64, KIND_SINGLE, 5), 0),
-        (gen_key(params64, KIND_PARITY, 6), 0),
-        (gen_key(params64, KIND_SINGLE, 7), 30),
-        (EphemeralKey(KIND_NONE), 0),
+        (gen_key(params64, Scheme.PER_SEGMENT, 5), 0),
+        (gen_key(params64, Scheme.PARITY, 6), 0),
+        (gen_key(params64, Scheme.WHOLE_MESSAGE, 7), 30),
+        ((), 0),
     ]:
-        kf = KeyFile(key=key, framed_len=framed_len)
+        kf = KeyFile(key, framed_len)
         assert KeyFile.from_bytes(kf.to_bytes()) == kf
 
 
 def test_key_file_malformed(params64):
-    good = KeyFile(key=gen_key(params64, KIND_SINGLE, 8)).to_bytes()
+    good = KeyFile(gen_key(params64, Scheme.PER_SEGMENT, 8)).to_bytes()
     with pytest.raises(MalformedFile):
         KeyFile.from_bytes(b"NOPE" + good[4:])
     with pytest.raises(MalformedFile):
@@ -229,10 +209,40 @@ def test_key_file_malformed(params64):
         KeyFile.from_bytes(good + b"\x00")
 
 
+def locked_key_bytes(params, scheme, message, seed):
+    """The DLFK bytes lock writes for message under scheme."""
+    A = spaced_set(random.Random(seed), params.p, 30, delta=0)
+    _, key_file = lock(message, A, scheme, params, chaff_count=2, seed=seed, seg_bits=16)
+    return key_file.to_bytes()
+
+
+def test_key_file_bytes_pin_the_kind_byte_and_the_exponent_order(params256):
+    # kind byte 0: one exponent; the whole-message scheme adds its frame length
+    for scheme, framed_len in [(Scheme.PER_SEGMENT, 0), (Scheme.WHOLE_MESSAGE, 30)]:
+        blob = locked_key_bytes(params256, scheme, b"pinned", 80)
+        assert blob[:6] == b"DLFK\x01\x00"
+        kappa, offset = unpack_lpint(blob, 6)
+        assert 1 <= kappa <= params256.p - 2
+        assert blob[offset:] == framed_len.to_bytes(2, "big")
+    # kind byte 1: two exponents, the even one first
+    blob = locked_key_bytes(params256, Scheme.PARITY, b"pinned", 81)
+    assert blob[:6] == b"DLFK\x01\x01"
+    even, offset = unpack_lpint(blob, 6)
+    odd, offset = unpack_lpint(blob, offset)
+    assert (even % 2, odd % 2) == (0, 1)
+    assert blob[offset:] == b"\x00\x00"
+    # kind byte 2: no exponent, 8 bytes in all
+    assert locked_key_bytes(params256, Scheme.CLASSICAL, b"pinned", 82) == b"DLFK\x01\x02\x00\x00"
+    # the first byte past the table
+    for blob in (b"DLFK\x01\x03\x00\x00", b"DLFK\x01\x03" + blob[6:]):
+        with pytest.raises(MalformedFile, match="kind code 3"):
+            KeyFile.from_bytes(blob)
+
+
 def test_key_file_rejects_a_frame_length_lock_never_writes(params64):
-    single = KeyFile(key=gen_key(params64, KIND_SINGLE, 9)).to_bytes()
-    parity = KeyFile(key=gen_key(params64, KIND_PARITY, 9)).to_bytes()
-    none = KeyFile(key=EphemeralKey(KIND_NONE)).to_bytes()
+    single = KeyFile(gen_key(params64, Scheme.PER_SEGMENT, 9)).to_bytes()
+    parity = KeyFile(gen_key(params64, Scheme.PARITY, 9)).to_bytes()
+    none = KeyFile(()).to_bytes()
     for blob, framed_len in [(parity, 24), (parity, 1), (none, 24), (none, 1),
                              (single, 1), (single, 3), (single, 23)]:
         with pytest.raises(MalformedFile):

@@ -9,7 +9,7 @@ import pytest
 from helpers import keys_gen_key_never_draws, no_pow, spaced_set, vault_file, with_framed_len
 from dlfvault import dlog_codec, field as field_module
 from dlfvault.attacks import brute_force_unlock_attack
-from dlfvault.dlog_codec import KIND_SINGLE, KeyFile, gen_key, message_decoder
+from dlfvault.dlog_codec import KeyFile, gen_key, message_decoder
 from dlfvault.errors import (
     BadLength,
     ChaffSpaceExhausted,
@@ -19,19 +19,16 @@ from dlfvault.errors import (
     LockingSetTooSmall,
     MalformedFile,
     NotEnoughMatches,
-    WrongCount,
 )
-from dlfvault.field import PrimeField, params_to_file
+from dlfvault.field import params_to_file
 from dlfvault.framing import frame, segment
 from dlfvault.polynomial import eval_poly
 from dlfvault.vault import (
     Scheme,
     Vault,
-    classical_coeff_check,
     lock,
     match_points,
     unlock,
-    verify_coefficients,
 )
 
 
@@ -174,7 +171,7 @@ def test_key_kind_checks(params64):
     A = spaced_set(rng, params64.p, 26, delta=0)
     vault, key_file = lock(b"", A, Scheme.PARITY, params64, chaff_count=5,
                            seed=10, seg_bits=16)
-    single = KeyFile(key=gen_key(params64, KIND_SINGLE, 3))
+    single = KeyFile(gen_key(params64, Scheme.PER_SEGMENT, 3))
     with pytest.raises(KeyKindMismatch):
         unlock(vault, A, single)
     with pytest.raises(KeyKindMismatch):
@@ -196,7 +193,7 @@ def test_wrong_key_fails_to_decode(params64):
     A = spaced_set(rng, params64.p, n, delta=0)
     vault, _ = lock(msg, A, Scheme.PER_SEGMENT, params64, chaff_count=0,
                     seed=12, seg_bits=16)
-    wrong = KeyFile(key=gen_key(params64, KIND_SINGLE, 999))
+    wrong = KeyFile(gen_key(params64, Scheme.PER_SEGMENT, 999))
     with pytest.raises(DecodeFailed):
         unlock(vault, A, wrong)
 
@@ -208,7 +205,7 @@ def test_max_subsets_cap(params64):
     A = spaced_set(rng, params64.p, n + 4, delta=0)
     vault, _ = lock(msg, A, Scheme.PER_SEGMENT, params64, chaff_count=0,
                     seed=13, seg_bits=16)
-    wrong = KeyFile(key=gen_key(params64, KIND_SINGLE, 1000))
+    wrong = KeyFile(gen_key(params64, Scheme.PER_SEGMENT, 1000))
     with pytest.raises(DecodeFailed) as exc_info:
         unlock(vault, A, wrong, max_subsets=5)
     assert "5" in str(exc_info.value)
@@ -272,7 +269,7 @@ def test_vault_bytes_leak_no_key_material(params64):
     A = spaced_set(rng, params64.p, 26, delta=0)
     vault, key_file = lock(b"leakcheck", A, Scheme.PER_SEGMENT, params64,
                            chaff_count=10, seed=16, seg_bits=16)
-    kappa = key_file.key.kappa
+    (kappa,) = key_file.exponents
     blob = vault.to_bytes()
     assert kappa.to_bytes(8, "big") not in blob
 
@@ -393,21 +390,6 @@ def test_a_loaded_field_is_proven_once(params256, monkeypatch):
     assert full_strength == [(params256.p - 1) // 2]
 
 
-def test_verify_coefficients():
-    assert verify_coefficients([1, 2, 3], [1, 2, 3])
-    assert not verify_coefficients([1, 2, 4], [1, 2, 3])
-    with pytest.raises(WrongCount):
-        verify_coefficients([1, 2], [1, 2, 3])
-
-
-def test_classical_coeff_check(params64):
-    f23 = PrimeField(23, 5)
-    assert classical_coeff_check(128, f23) == 32
-    per = params64.p_bits - 1
-    assert classical_coeff_check(per * 3, params64) == 3
-    assert classical_coeff_check(per * 3 + 1, params64) == 4
-
-
 def test_whole_message_chunk_count(params256):
     rng = random.Random(57)
     n = -(-params256.p_bits // 16)
@@ -489,7 +471,7 @@ def test_negative_max_subsets_is_rejected(params64):
     n = len(frame(msg, 16)) // 2
     A = spaced_set(rng, params64.p, n + 4, delta=0)
     vault, _ = lock(msg, A, Scheme.PER_SEGMENT, params64, seed=66, seg_bits=16)
-    wrong = KeyFile(key=gen_key(params64, KIND_SINGLE, 1001))
+    wrong = KeyFile(gen_key(params64, Scheme.PER_SEGMENT, 1001))
     with pytest.raises(ValueError) as exc_info:
         unlock(vault, A, wrong, max_subsets=-1)
     assert type(exc_info.value) is ValueError
