@@ -191,23 +191,24 @@ def solve_dlog_bsgs(target: int, params: PrimeField) -> int:
     O(sqrt(p)) time and memory; refuses p above 2^40 where the baby
     table stops being a desk-scale object.
     """
-    if params.p > 1 << 40:
+    p, alpha = params.p, params.alpha
+    if p > 1 << 40:
         raise BadArguments("p above 2^40 is out of range for the table-based solver")
-    if target % params.p == 0:
+    if target % p == 0:
         raise NotInGroup("0 is outside the multiplicative group")
-    target %= params.p
-    m = math.isqrt(params.p - 2) + 1
+    target %= p
+    m = math.isqrt(p - 2) + 1
     baby = {}
     acc = 1
     for j in range(m):
         baby.setdefault(acc, j)
-        acc = params.mul(acc, params.alpha)
+        acc = acc * alpha % p
     # acc is now alpha^m
-    giant = params.inv(acc)
+    giant = pow(acc, -1, p)
     gamma = target
     for i in range(m):
         j = baby.get(gamma)
         if j is not None:
             return i * m + j
-        gamma = params.mul(gamma, giant)
+        gamma = gamma * giant % p
     raise NotInGroup(f"{target} is not a power of alpha")

@@ -91,6 +91,11 @@ class KeyFile:
     exponents: tuple[int, ...] = ()
     framed_len: int = 0
 
+    def __post_init__(self):
+        if len(self.exponents) >= len(_KIND_NAMES):
+            raise ValueError(f"a key holds at most {len(_KIND_NAMES) - 1} exponents, "
+                             f"not {len(self.exponents)}")
+
     def to_bytes(self) -> bytes:
         out = bytearray(_HEADER)
         out.append(_CODE_SIZES.index(len(self.exponents)))

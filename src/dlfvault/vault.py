@@ -143,7 +143,10 @@ def _check_gaps(xs, delta, error, what):
 
 
 def place_points(field, coeffs, locking_set, chaff_count, delta, seed):
-    """The vault of Juels and Sudan over any field with add/sub/mul/inv/size.
+    """The vault of Juels and Sudan over a PrimeField, whose polynomials are
+    evaluated on plain ints mod p, or over any other field with
+    add/sub/mul/inv/size (GF(2^16) for identity binding), through those
+    methods.
 
     Checks chaff_count and delta are non-negative and the locking set is
     valid and no smaller than coeffs, evaluates the coefficient polynomial

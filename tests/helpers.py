@@ -61,14 +61,18 @@ def no_pow(*args):
 
 class PowCounter:
     """Stand-in for the builtin pow in a module under test that counts the
-    modular powers computed; inversions (exponent -1) are not counted."""
+    modular powers (exponent >= 0) and the inversions (exponent -1)
+    computed, each in its own counter."""
 
     def __init__(self):
         self.powers = 0
+        self.inverses = 0
 
     def __call__(self, base, exponent, mod=None):
         if exponent >= 0:
             self.powers += 1
+        else:
+            self.inverses += 1
         return builtins.pow(base, exponent, mod)
 
 

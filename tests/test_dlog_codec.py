@@ -195,6 +195,12 @@ def test_key_file_roundtrip_all_kinds(params64):
         assert KeyFile.from_bytes(kf.to_bytes()) == kf
 
 
+def test_key_file_holds_at_most_two_exponents():
+    for exponents in [(1, 2, 3), (5, 7, 9, 11)]:
+        with pytest.raises(ValueError, match=f"not {len(exponents)}"):
+            KeyFile(exponents)
+
+
 def test_key_file_malformed(params64):
     good = KeyFile(gen_key(params64, Scheme.PER_SEGMENT, 8)).to_bytes()
     with pytest.raises(MalformedFile):

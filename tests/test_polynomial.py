@@ -1,10 +1,28 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from dlfvault.errors import DuplicateX, WrongCount
+from dlfvault import field as field_module, polynomial
+from dlfvault.errors import DuplicateX, WrongCount, ZeroInverse
 from dlfvault.field import PrimeField, binary_field
 from dlfvault.polynomial import crc16_remainder, eval_poly, lagrange_interpolate
+from helpers import PowCounter
+
+# the 1024-bit MODP prime of RFC 2409 (Oakley group 2), a safe prime whose
+# smallest primitive root is 5
+OAKLEY_1024 = int(
+    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
+    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
+    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
+    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381FFFFFFFFFFFFFFFF", 16)
+
+
+def method_field(field):
+    """The same field as a duck-typed object built from its bound methods,
+    so the kernels take the field-method path: the reference for F_p."""
+    return SimpleNamespace(add=field.add, sub=field.sub, mul=field.mul, inv=field.inv,
+                           size=field.size)
 
 
 def test_eval_worked_example():
@@ -88,6 +106,52 @@ def test_eval_is_linear_in_coefficients(params64):
         s = [f.add(x, y) for x, y in zip(a, b)]
         x = rng.randrange(f.p)
         assert eval_poly(f, s, x) == f.add(eval_poly(f, a, x), eval_poly(f, b, x))
+
+
+def distinct_residues(rng, p, n):
+    """n distinct values in [0, p), in the order drawn."""
+    xs = {}
+    while len(xs) < n:
+        xs[rng.randrange(p)] = None
+    return list(xs)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_prime_field_kernels_equal_the_field_method_path(bits, params64, params256):
+    f = {64: params64, 256: params256, 1024: PrimeField(OAKLEY_1024, 5)}[bits]
+    reference = method_field(f)
+    rng = random.Random(bits)
+    for n in range(1, 41):
+        # leading zeros: the top coefficients of some lists are 0
+        zeros = rng.randrange(min(n, 3))
+        coeffs = [rng.randrange(f.p) for _ in range(n - zeros)] + [0] * zeros
+        # x values distinct mod p, some lifted to p or above
+        xs = [x + f.p * rng.randrange(3) for x in distinct_residues(rng, f.p, n)]
+        points = [(x, rng.randrange(f.p)) for x in xs]
+        assert lagrange_interpolate(f, points, n) == lagrange_interpolate(reference, points, n)
+        on_poly = [(x, eval_poly(f, coeffs, x)) for x in xs]
+        assert on_poly == [(x, eval_poly(reference, coeffs, x)) for x in xs]
+        assert lagrange_interpolate(f, on_poly, n) == coeffs
+
+
+def test_prime_field_interpolation_computes_one_inverse(params256, monkeypatch):
+    counter = PowCounter()
+    monkeypatch.setattr(polynomial, "pow", counter, raising=False)
+    monkeypatch.setattr(field_module, "pow", counter, raising=False)
+    rng = random.Random(17)
+    inverses = []
+    for n in (1, 2, 12, 40):
+        points = [(x, rng.randrange(params256.p)) for x in distinct_residues(rng, params256.p, n)]
+        before = counter.inverses
+        lagrange_interpolate(params256, points, n)
+        inverses.append(counter.inverses - before)
+    assert inverses == [1, 1, 1, 1]
+    assert counter.powers == 0
+
+
+def test_interpolate_x_values_equal_mod_p_raise_zero_inverse():
+    with pytest.raises(ZeroInverse):
+        lagrange_interpolate(PrimeField(23, 5), [(1, 1), (24, 2)], 2)
 
 
 # CRC-16
