@@ -47,7 +47,6 @@ from .field import (
     PrimeField,
     binary_field,
     gen_params,
-    gf16_mul,
     is_prime,
     is_primitive_root,
     params_from_file,

@@ -11,10 +11,10 @@ that in their notes next to the exact value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
-from .dlog_codec import message_decoder
+from .dlog_codec import KeyFile, Scheme, message_decoder
 from .errors import BadArguments, NotInGroup
 from .field import PrimeField
 from .vault import DEFAULT_MAX_SUBSETS, Vault, subset_search
@@ -168,17 +168,19 @@ class BruteForceResult:
     message: bytes | None = None
 
 
-def brute_force_unlock_attack(vault: Vault, key_file=None,
+def brute_force_unlock_attack(vault: Vault, key_file: KeyFile | None = None,
                               max_subsets: int = DEFAULT_MAX_SUBSETS) -> BruteForceResult:
     """Attempt to open a vault with no unlocking set at all.
 
     Every vault point is a candidate, so this walks subsets in
     lexicographic x order until the framing digest verifies or the
-    budget runs out. Without the key file, coefficients are read as raw
-    segments, which can only succeed against classical vaults; with it,
-    this measures how little the chaff alone protects, and a key of the
-    wrong kind for the scheme raises KeyKindMismatch as unlock does.
+    budget runs out. Without the key file, every vault is read as
+    classical, which can only open a classical one; with it, this
+    measures how little the chaff alone protects, and a key of the wrong
+    kind for the scheme raises KeyKindMismatch as unlock does.
     """
+    if key_file is None:
+        vault, key_file = replace(vault, scheme=Scheme.CLASSICAL), KeyFile()
     message, tried = subset_search(vault.params, sorted(vault.points), vault.coeff_count,
                                    message_decoder(vault, key_file), max_subsets)
     return BruteForceResult(succeeded=message is not None, subsets_tried=tried,

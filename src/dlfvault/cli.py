@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import secrets
 import sys
+from pathlib import Path
 
 from .attacks import attack_report, brute_force_unlock_attack, sweep_csv
 from .dlog_codec import KeyFile
@@ -73,16 +74,6 @@ def _int_list(s: str) -> list[int]:
     return [int(part, 0) for part in parts if part]
 
 
-def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _write_bytes(path: str, data: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(data)
-
-
 def _read_set(path: str) -> list[int]:
     """Newline-separated integers, decimal or 0x-hex; # starts a comment."""
     values = []
@@ -108,7 +99,7 @@ def _cmd_params(args) -> int:
     seed = args.seed if args.seed is not None else _fresh_seed()
     field = gen_params(args.bits, seed)
     print(f"seed={seed}")
-    _write_bytes(args.out, params_to_file(field))
+    Path(args.out).write_bytes(params_to_file(field))
     print(f"bits={field.p_bits}")
     print(f"p={field.p:#x}")
     print(f"alpha={field.alpha}")
@@ -119,14 +110,14 @@ def _cmd_params(args) -> int:
 def _cmd_lock(args) -> int:
     seed = args.seed if args.seed is not None else _fresh_seed()
     print(f"seed={seed}")
-    params = params_from_file(_read_bytes(args.params))
-    message = _read_bytes(args.message)
+    params = params_from_file(Path(args.params).read_bytes())
+    message = Path(args.message).read_bytes()
     locking_set = _read_set(args.set)
     vault, key_file = lock(message, locking_set, _SCHEMES[args.scheme], params,
                            chaff_count=args.chaff, delta=args.delta, seed=seed,
                            seg_bits=args.seg_bits)
-    _write_bytes(args.vault_out, vault.to_bytes())
-    _write_bytes(args.key_out, key_file.to_bytes())
+    Path(args.vault_out).write_bytes(vault.to_bytes())
+    Path(args.key_out).write_bytes(key_file.to_bytes())
     print(f"scheme={args.scheme}")
     print(f"coeffs={vault.coeff_count}")
     print(f"genuine={len(locking_set)}")
@@ -137,11 +128,11 @@ def _cmd_lock(args) -> int:
 
 
 def _cmd_unlock(args) -> int:
-    vault = Vault.from_bytes(_read_bytes(args.vault))
-    key_file = KeyFile.from_bytes(_read_bytes(args.key)) if args.key else None
+    vault = Vault.from_bytes(Path(args.vault).read_bytes())
+    key_file = KeyFile.from_bytes(Path(args.key).read_bytes()) if args.key else None
     unlocking_set = _read_set(args.set)
     message = unlock(vault, unlocking_set, key_file, max_subsets=args.max_subsets)
-    _write_bytes(args.out, message)
+    Path(args.out).write_bytes(message)
     print(f"message_bytes={len(message)}")
     print(f"out={args.out}")
     return EXIT_OK
@@ -149,14 +140,14 @@ def _cmd_unlock(args) -> int:
 
 def _cmd_identity_encode(args) -> int:
     coeffs = encode_identity(args.kappa, args.id)
-    _write_bytes(args.out, identity_to_bytes(coeffs))
+    Path(args.out).write_bytes(identity_to_bytes(coeffs))
     print(f"crc={coeffs[0]:#06x}")
     print(f"out={args.out}")
     return EXIT_OK
 
 
 def _cmd_identity_decode(args) -> int:
-    coeffs, _reduction = identity_from_bytes(_read_bytes(args.infile))
+    coeffs, _reduction = identity_from_bytes(Path(args.infile).read_bytes())
     decoded = decode_identity(coeffs)
     if decoded is None:
         print("Reject")
@@ -170,8 +161,8 @@ def _cmd_attack(args) -> int:
     if args.vault:
         if args.r or args.t or args.n:
             raise ValueError("--vault and --r/--t/--n are mutually exclusive")
-        vault = Vault.from_bytes(_read_bytes(args.vault))
-        key_file = KeyFile.from_bytes(_read_bytes(args.key)) if args.key else None
+        vault = Vault.from_bytes(Path(args.vault).read_bytes())
+        key_file = KeyFile.from_bytes(Path(args.key).read_bytes()) if args.key else None
         result = brute_force_unlock_attack(vault, key_file, max_subsets=args.max_subsets)
         print(f"succeeded={'true' if result.succeeded else 'false'}")
         print(f"subsets_tried={result.subsets_tried}")
@@ -193,8 +184,7 @@ def _cmd_attack(args) -> int:
     else:
         text = sweep_csv(reports)
     if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        Path(args.report_out).write_text(text, encoding="utf-8")
         print(f"out={args.report_out}")
     else:
         sys.stdout.write(text)

@@ -66,14 +66,13 @@ def gen_key(params: PrimeField, scheme: Scheme, seed: int) -> tuple[int, ...]:
                  for r in _exponent_ranges(params, _KEY_SIZE[Scheme(scheme)]))
 
 
-def _masks(params: PrimeField, exponents: tuple[int, ...], count: int,
-           inverse: bool) -> list[int]:
-    """The multiplier of each 1-based segment index 1..count: alpha^e for
-    the index's exponent e, or with inverse its inverse alpha^(p - 1 - e)
-    (alpha has order p - 1). One power per distinct exponent."""
+def _masks(params: PrimeField, exponents: tuple[int, ...], count: int) -> list[int]:
+    """The multiplier alpha^e of each 1-based segment index 1..count, where
+    e is the index's exponent; message_decoder passes each e as p - 1 - e
+    for the inverse masks. One power per distinct exponent."""
     p = params.p
     used = [exponents[i % len(exponents)] for i in range(1, count + 1)]
-    powers = {e: pow(params.alpha, p - 1 - e if inverse else e, p) for e in set(used)}
+    powers = {e: pow(params.alpha, e, p) for e in set(used)}
     return [powers[e] for e in used]
 
 
@@ -144,47 +143,46 @@ def encode_message(params: PrimeField, scheme: Scheme, message: bytes, seg_bits:
             raise MessageTooLarge(f"framed message spans {value.bit_length()} bits, "
                                   f"field holds only {params.p_bits - 1}")
         width = whole_chunks(params, seg_bits) * seg_bits // 8
-        (mask,) = _masks(params, key, 1, inverse=False)
+        (mask,) = _masks(params, key, 1)
         framed = (value * mask % p).to_bytes(width, "big")
     coeffs = framing.segment(framed, seg_bits)
     if scheme in _SEGMENT_MASKED:
-        masks = _masks(params, key, len(coeffs), inverse=False)
+        masks = _masks(params, key, len(coeffs))
         coeffs = [s * m % p for s, m in zip(coeffs, masks)]
     return coeffs, KeyFile(key, framed_len)
 
 
-def message_decoder(vault, key_file: KeyFile | None):
+def message_decoder(vault, key_file: KeyFile):
     """Build coeffs -> message bytes for a vault (read for scheme, params,
     seg_bits and coeff_count): per-segment unmask, reassemble, whole
-    unmask, deframe. Before any power, a given key must hold as many
+    unmask, deframe. Before any power, the key must hold as many
     exponents as the vault's scheme takes (KeyFile() for classical), each
-    one gen_key draws, and a frame length the vault can hold; with no key
-    at all nothing is unmasked, which reads the coefficients as raw
-    segments.
+    one gen_key draws, and a frame length the vault can hold.
     The decoder raises BadLength, MalformedFrame or SignatureMismatch on
     a wrong candidate. The inverse masks are computed once here.
     """
     params, seg_bits, p = vault.params, vault.seg_bits, vault.params.p
-    segment_inverses, whole_inverse, framed_len = [], None, 0
-    if key_file is not None:
-        key, framed_len = key_file.exponents, key_file.framed_len
-        size, kind = _KEY_SIZE[vault.scheme], _KIND_NAMES[len(key)]
-        if len(key) != size:
-            raise KeyKindMismatch(f"scheme {vault.scheme.name} needs a "
-                                  f"{_KIND_NAMES[size]!r} key, got {kind!r}")
-        if not all(e in r for e, r in zip(key, _exponent_ranges(params, size))):
-            raise MalformedFile(f"a {kind} key has an exponent gen_key never draws")
-        # the framed integer is below p; only its u64 length header adds leading zero bytes
-        top = -(-params.p_bits // 8) + framing.HEADER_LEN
-        fits = framed_len == 0
-        if vault.scheme is Scheme.WHOLE_MESSAGE:
-            fits = framing.MIN_FRAME_LEN <= framed_len <= top and not framed_len % (seg_bits // 8)
-        if not fits:
-            raise MalformedFile(f"a {vault.scheme.name} vault never has a {framed_len}-byte frame")
-        if vault.scheme in _SEGMENT_MASKED:
-            segment_inverses = _masks(params, key, vault.coeff_count, inverse=True)
-        elif vault.scheme is Scheme.WHOLE_MESSAGE:
-            (whole_inverse,) = _masks(params, key, 1, inverse=True)
+    key, framed_len = key_file.exponents, key_file.framed_len
+    size, kind = _KEY_SIZE[vault.scheme], _KIND_NAMES[len(key)]
+    if len(key) != size:
+        raise KeyKindMismatch(f"scheme {vault.scheme.name} needs a "
+                              f"{_KIND_NAMES[size]!r} key, got {kind!r}")
+    if not all(e in r for e, r in zip(key, _exponent_ranges(params, size))):
+        raise MalformedFile(f"a {kind} key has an exponent gen_key never draws")
+    # the framed integer is below p; only its u64 length header adds leading zero bytes
+    top = -(-params.p_bits // 8) + framing.HEADER_LEN
+    fits = framed_len == 0
+    if vault.scheme is Scheme.WHOLE_MESSAGE:
+        fits = framing.MIN_FRAME_LEN <= framed_len <= top and not framed_len % (seg_bits // 8)
+    if not fits:
+        raise MalformedFile(f"a {vault.scheme.name} vault never has a {framed_len}-byte frame")
+    # alpha has order p - 1, so alpha^(p - 1 - e) undoes alpha^e
+    inverse_key = tuple(p - 1 - e for e in key)
+    segment_inverses, whole_inverse = [], None
+    if vault.scheme in _SEGMENT_MASKED:
+        segment_inverses = _masks(params, inverse_key, vault.coeff_count)
+    elif vault.scheme is Scheme.WHOLE_MESSAGE:
+        (whole_inverse,) = _masks(params, inverse_key, 1)
 
     def decode(coeffs):
         if segment_inverses:

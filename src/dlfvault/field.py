@@ -304,8 +304,3 @@ class BinaryField16:
 def binary_field() -> BinaryField16:
     """The shared BinaryField16 instance; its tables are built once."""
     return BinaryField16()
-
-
-def gf16_mul(a: int, b: int) -> int:
-    """Product in GF(2^16)."""
-    return binary_field().mul(a, b)

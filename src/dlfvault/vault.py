@@ -194,12 +194,10 @@ def _generate_chaff(field, coeffs, taken_xs, count, delta, rng):
     for _ in range(count):
         for _ in range(_CHAFF_ATTEMPTS):
             u = rng.randrange(field.size)
-            i = bisect_left(xs, u)
-            if i < len(xs) and xs[i] - u <= gap:
-                continue
-            if i > 0 and u - xs[i - 1] <= gap:
-                continue
-            break
+            # an x within gap of u would be the first one at or above u - gap
+            i = bisect_left(xs, u - gap)
+            if i == len(xs) or xs[i] - u > gap:
+                break
         else:
             raise ChaffSpaceExhausted(
                 f"no room for chaff point {len(chaff) + 1} of {count} at gap > {gap}")
@@ -217,24 +215,18 @@ def _generate_chaff(field, coeffs, taken_xs, count, delta, rng):
 def nearest_points(points, delta, unlocking_set) -> list[tuple[int, int]]:
     """Points within delta of any probe, deduplicated, ordered by x.
 
-    Distance is plain integer distance, no wraparound. place_points keeps
-    x coordinates more than 2*delta apart, so each probe can match at
-    most one point and nearest-point selection is unambiguous; delta = 0
-    is exact matching.
+    Distance is plain integer distance, no wraparound; delta = 0 is exact
+    matching. place_points and Vault.from_bytes keep x values more than
+    2*delta apart, so at most one point lies in [b - delta, b + delta]:
+    the first x at or above b - delta, when it is at most b + delta.
     """
     ordered = sorted(points)
     xs = [x for x, _ in ordered]
     chosen = {}
     for b in unlocking_set:
-        i = bisect_left(xs, b)
-        best = None
-        for j in (i - 1, i):
-            if 0 <= j < len(xs):
-                d = abs(xs[j] - b)
-                if best is None or d < best[0]:
-                    best = (d, j)
-        if best is not None and best[0] <= delta:
-            chosen[xs[best[1]]] = ordered[best[1]]
+        i = bisect_left(xs, b - delta)
+        if i < len(xs) and xs[i] <= b + delta:
+            chosen[xs[i]] = ordered[i]
     return [chosen[x] for x in sorted(chosen)]
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import spaced_set, with_framed_len
+from dlfvault import attacks
 from dlfvault.attacks import (
     CSV_HEADER,
     attack_report,
@@ -102,6 +103,14 @@ def test_monte_carlo_validates():
         monte_carlo_rate(10, 5, 6, trials=10, seed=0)
     with pytest.raises(BadArguments):
         monte_carlo_rate(10, 5, 3, trials=0, seed=0)
+
+
+def test_monte_carlo_rejects_a_subset_size_beyond_the_draw_budget(monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(attacks, "_sample_distinct", no_trial)
+    with pytest.raises(BadArguments):
+        monte_carlo_rate(1 << 16, 1 << 16, 1 << 16, 1, 0)
 
 
 def test_attack_report_fields_and_notes():

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from dlfvault import dlog_codec, field as field_module
-from dlfvault._wire import unpack_lpint
+from dlfvault._wire import pack_lpint, unpack_lpint
 from dlfvault.dlog_codec import KeyFile, Scheme, encode_message, gen_key, message_decoder
 from dlfvault.errors import (
     BadLength,
@@ -256,3 +256,11 @@ def test_key_file_rejects_a_frame_length_lock_never_writes(params64):
     # whether a whole frame fits is up to the vault, not the key file
     for framed_len in (0, 24, 0xFFFF):
         assert KeyFile.from_bytes(with_framed_len(single, framed_len)).framed_len == framed_len
+
+
+def test_pack_lpint_rejects_negative_and_too_wide_integers():
+    with pytest.raises(ValueError):
+        pack_lpint(-1)
+    # 65536 bytes, one more than a u16 length prefix can count
+    with pytest.raises(ValueError):
+        pack_lpint(1 << 8 * 0xFFFF)

@@ -12,7 +12,6 @@ from dlfvault.field import (
     binary_field,
     gen_params,
     gf16_clmul,
-    gf16_mul,
     is_prime,
     is_primitive_root,
     params_from_file,

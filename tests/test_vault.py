@@ -28,6 +28,7 @@ from dlfvault.vault import (
     Vault,
     lock,
     match_points,
+    nearest_points,
     unlock,
 )
 
@@ -120,6 +121,17 @@ def test_match_points_nearest_within_delta(params64):
     assert len(matched) == 1 and matched[0][0] == 1000
 
 
+def test_nearest_points_window_edges():
+    # the gap 7 is 2*delta + 1, the closest place_points allows at delta = 3
+    points = [(100, 1), (107, 2)]
+    assert nearest_points(points, 3, [97]) == [(100, 1)]
+    assert nearest_points(points, 3, [103]) == [(100, 1)]
+    assert nearest_points(points, 3, [104]) == [(107, 2)]
+    assert nearest_points(points, 3, [110]) == [(107, 2)]
+    assert nearest_points(points, 3, [96, 111]) == []
+    assert nearest_points(points, 3, [97, 103, 100, 97]) == [(100, 1)]
+
+
 def test_locking_set_too_small(params64):
     msg = b"m" * 20  # framed to 44 bytes -> 22 segments
     with pytest.raises(LockingSetTooSmall):
@@ -164,6 +176,18 @@ def test_chaff_space_exhausted():
     with pytest.raises(ChaffSpaceExhausted):
         lock(b"", A, Scheme.CLASSICAL, small, chaff_count=small.p, delta=3,
              seed=52, seg_bits=8)
+
+
+def test_dense_chaff_layout_is_pinned():
+    # a 16-bit field at delta = 3 rejects most chaff draws, so this pins
+    # the rejection rule that the 256-bit golden vaults almost never reach
+    from dlfvault.field import gen_params
+    small = gen_params(16, seed=50)
+    A = sorted(random.Random(51).sample(range(0, small.p, 10), 24))
+    vault, _ = lock(b"", A, Scheme.CLASSICAL, small, chaff_count=4000, delta=3,
+                    seed=52, seg_bits=8)
+    assert hashlib.sha256(vault.to_bytes()).hexdigest() == (
+        "3f92b0613c454dd183800a25cf141814f0a5f2ec861f95c50229d50c6d2f00ae")
 
 
 def test_key_kind_checks(params64):
