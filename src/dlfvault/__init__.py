@@ -52,7 +52,7 @@ from .field import (
     params_from_file,
     params_to_file,
 )
-from .framing import deframe, frame, md5, reassemble, required_coeff_count, segment
+from .framing import deframe, frame, md5, reassemble, segment
 from .identity import (
     CRC16_GENERATOR,
     IdentityRecord,

@@ -1,11 +1,11 @@
 """Field arithmetic: the prime field F_p the vaults live in, safe-prime
 parameter generation, and the one GF(2^16) used by the identity binding.
 
-Prime-field elements are plain ints in [0, p); the field object carries p
-and a fixed primitive root alpha and exposes method arithmetic. Every
-field, in memory or read from bytes, is a safe prime p = 2q + 1 of at
-most MAX_P_BITS bits with alpha a primitive root; that is proven from
-the structure of p (Pocklington's criterion, one Miller-Rabin test on q)
+Prime-field elements are plain ints in [0, p); the field itself is the
+frozen pair of p and a fixed primitive root alpha. Every field, in
+memory or read from bytes, is a safe prime p = 2q + 1 of at most
+MAX_P_BITS bits with alpha a primitive root; that is proven from the
+structure of p (Pocklington's criterion, one Miller-Rabin test on q)
 once per process, and later uses of the same (p, alpha) reuse it. GF(2^16)
 elements are ints in [0, 65536) interpreted as polynomials over GF(2),
 reduced mod the fixed polynomial x^16+x^5+x^3+x+1; there is no other
@@ -15,6 +15,7 @@ choice of reduction.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -67,7 +68,10 @@ def _miller_rabin(n: int, rounds: int) -> bool:
 
 
 def is_prime(n: int, rounds: int = _MILLER_RABIN_ROUNDS) -> bool:
-    """Primality test: exhaustive trial division below 2^20, Miller-Rabin above."""
+    """Primality test: exhaustive trial division below 2^20, Miller-Rabin
+    with `rounds` witnesses above; rounds below 1 raise ValueError."""
+    if rounds < 1:
+        raise ValueError(f"rounds must be at least 1, not {rounds}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -122,53 +126,30 @@ def _is_safe_field(p: int, alpha: int) -> bool:
     return pow(alpha, q, p) == p - 1 and gcd(alpha * alpha - 1, p) == 1 and is_prime(q)
 
 
+@dataclass(frozen=True, slots=True)
 class PrimeField:
-    """F_p together with a fixed primitive root alpha.
+    """F_p together with a fixed primitive root alpha: a frozen, certified
+    (p, alpha) pair.
 
-    Immutable once built. The constructor accepts exactly the certified
-    fields: a safe prime p of at most MAX_P_BITS bits and a primitive
-    root alpha. read_from reports any other field in untrusted bytes as
-    MalformedFile.
+    The constructor accepts exactly the certified fields: a safe prime p
+    of at most MAX_P_BITS bits and a primitive root alpha. read_from
+    reports any other field in untrusted bytes as MalformedFile.
     """
 
-    __slots__ = ("p", "alpha", "p_bits")
+    p: int
+    alpha: int
 
-    def __init__(self, p: int, alpha: int):
-        if not _is_safe_field(p, alpha):
+    def __post_init__(self):
+        if not _is_safe_field(self.p, self.alpha):
             raise ValueError("p is not a safe prime with primitive root alpha")
-        self.p = p
-        self.alpha = alpha
-        self.p_bits = p.bit_length()
+
+    @property
+    def p_bits(self) -> int:
+        return self.p.bit_length()
 
     @property
     def size(self) -> int:
         return self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def pow(self, base: int, exponent: int) -> int:
-        return pow(base, exponent, self.p)
-
-    def inv(self, x: int) -> int:
-        if x % self.p == 0:
-            raise ZeroInverse("0 has no multiplicative inverse")
-        return pow(x, -1, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and (self.p, self.alpha) == (other.p, other.alpha)
-
-    def __hash__(self):
-        return hash((self.p, self.alpha))
-
-    def __repr__(self):
-        return f"PrimeField(p={self.p}, alpha={self.alpha})"
 
     def to_bytes(self) -> bytes:
         """Parameter block: length-prefixed p then length-prefixed alpha."""
@@ -293,11 +274,6 @@ class BinaryField16:
         if x == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
         return self._exp[-self._log[x] % 65535]
-
-    def pow(self, base: int, exponent: int) -> int:
-        if base == 0:
-            return 0 if exponent else 1
-        return self._exp[self._log[base] * exponent % 65535]
 
 
 @lru_cache(maxsize=None)

@@ -79,14 +79,3 @@ def reassemble(segments: list[int], seg_bits: int = DEFAULT_SEG_BITS) -> bytes:
             raise BadLength(f"segment value does not fit in {seg_bits} bits")
         out += s.to_bytes(seg, "big")
     return bytes(out)
-
-
-def required_coeff_count(l: int, q: int) -> int:
-    """Field elements needed to carry an l-bit payload when each element
-    holds floor(log2(q)) bits."""
-    if l <= 0:
-        raise ValueError("payload must have at least one bit")
-    if q < 2:
-        raise ValueError("field must have at least two elements")
-    per_element = q.bit_length() - 1
-    return -(-l // per_element)

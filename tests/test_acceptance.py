@@ -212,14 +212,14 @@ def test_criterion_7_dlog_layer(pool, report):
 
     f23 = PrimeField(23, 5)
     for k in range(22):
-        if solve_dlog_bsgs(f23.pow(5, k), f23) != k:
+        if solve_dlog_bsgs(pow(5, k, 23), f23) != k:
             ok = False
 
     params32 = gen_params(32, seed=2105)
     start = time.monotonic()
     for _ in range(20):
         k = rng.randrange(params32.p - 1)
-        if solve_dlog_bsgs(params32.pow(params32.alpha, k), params32) != k:
+        if solve_dlog_bsgs(pow(params32.alpha, k, params32.p), params32) != k:
             ok = False
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 5

@@ -230,7 +230,7 @@ def test_brute_force_respects_cap(params64):
 def test_bsgs_exhaustive_tiny_field():
     f = PrimeField(23, 5)
     for k in range(22):
-        assert solve_dlog_bsgs(f.pow(5, k), f) == k
+        assert solve_dlog_bsgs(pow(5, k, f.p), f) == k
 
 
 def test_bsgs_random_exponents_medium_field():
@@ -238,7 +238,7 @@ def test_bsgs_random_exponents_medium_field():
     rng = random.Random(78)
     for _ in range(20):
         k = rng.randrange(f.p - 1)
-        assert solve_dlog_bsgs(f.pow(f.alpha, k), f) == k
+        assert solve_dlog_bsgs(pow(f.alpha, k, f.p), f) == k
 
 
 def test_bsgs_not_in_group():

@@ -30,3 +30,22 @@ def test_package_imports_only_the_standard_library():
             foreign += [f"{path.name}: {module}" for module in modules
                         if module.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_package_has_no_unused_imports():
+    sources = sorted(path for path in (ROOT / "src" / "dlfvault").rglob("*.py")
+                     if path.name != "__init__.py")
+    assert sources
+    unused = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+        # an attribute's base is itself a Name node, so this covers `mod.attr`
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported if name not in used]
+    assert unused == []

@@ -12,7 +12,6 @@ from dlfvault.framing import (
     frame,
     md5,
     reassemble,
-    required_coeff_count,
     segment,
 )
 
@@ -120,14 +119,3 @@ def test_reassemble_rejects_overflow():
         reassemble([0x10000], 16)
     with pytest.raises(BadLength):
         reassemble([-1], 16)
-
-
-def test_required_coeff_count():
-    assert required_coeff_count(128, 1 << 16) == 8
-    assert required_coeff_count(129, 1 << 16) == 9
-    assert required_coeff_count(1, 1 << 16) == 1
-    assert required_coeff_count(128, 23) == 32  # floor(log2 23) = 4 bits each
-    with pytest.raises(ValueError):
-        required_coeff_count(0, 1 << 16)
-    with pytest.raises(ValueError):
-        required_coeff_count(8, 1)

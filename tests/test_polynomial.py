@@ -19,10 +19,12 @@ OAKLEY_1024 = int(
 
 
 def method_field(field):
-    """The same field as a duck-typed object built from its bound methods,
-    so the kernels take the field-method path: the reference for F_p."""
-    return SimpleNamespace(add=field.add, sub=field.sub, mul=field.mul, inv=field.inv,
-                           size=field.size)
+    """The same field as a duck-typed object built from builtin `% p` and
+    `pow(x, -1, p)`, so the kernels take the field-method path: the
+    reference for F_p."""
+    p = field.p
+    return SimpleNamespace(add=lambda a, b: (a + b) % p, sub=lambda a, b: (a - b) % p,
+                           mul=lambda a, b: a * b % p, inv=lambda x: pow(x, -1, p), size=p)
 
 
 def test_eval_worked_example():
@@ -103,9 +105,9 @@ def test_eval_is_linear_in_coefficients(params64):
         n = rng.randrange(1, 8)
         a = [rng.randrange(f.p) for _ in range(n)]
         b = [rng.randrange(f.p) for _ in range(n)]
-        s = [f.add(x, y) for x, y in zip(a, b)]
+        s = [(x + y) % f.p for x, y in zip(a, b)]
         x = rng.randrange(f.p)
-        assert eval_poly(f, s, x) == f.add(eval_poly(f, a, x), eval_poly(f, b, x))
+        assert eval_poly(f, s, x) == (eval_poly(f, a, x) + eval_poly(f, b, x)) % f.p
 
 
 def distinct_residues(rng, p, n):
