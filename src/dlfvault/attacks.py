@@ -38,10 +38,8 @@ def published_poly_prob(r: int, t: int, n: int) -> float:
     Compare against exact_success_prob for the real chance. A figure
     too large for a float is math.inf.
     """
-    if r == t:
-        raise ZeroDivisionError("published formula is undefined at r = t")
     try:
-        return (r / (r - t)) ** n
+        return published_point_ratio(r, t) ** n
     except OverflowError:
         return math.inf
 
@@ -116,25 +114,28 @@ class AttackReport:
     trials: int
     notes: list[str] = dc_field(default_factory=list)
 
+    def _figures(self) -> dict[str, str]:
+        # one text per figure, in to_text order; to_csv_row picks CSV_HEADER's columns
+        return {
+            "r": str(self.r),
+            "t": str(self.t),
+            "n": str(self.n),
+            "point_ratio": repr(self.published_point_ratio),
+            "paper_eq30": repr(self.published_poly_prob),
+            "exact": str(self.exact_prob),
+            "empirical": repr(self.empirical_rate),
+            "stderr": repr(self.empirical_stderr),
+            "trials": str(self.trials),
+        }
+
     def to_text(self) -> str:
-        lines = [
-            f"r={self.r}",
-            f"t={self.t}",
-            f"n={self.n}",
-            f"point_ratio={self.published_point_ratio!r}",
-            f"paper_eq30={self.published_poly_prob!r}",
-            f"exact={self.exact_prob}",
-            f"empirical={self.empirical_rate!r}",
-            f"stderr={self.empirical_stderr!r}",
-            f"trials={self.trials}",
-        ]
+        lines = [f"{name}={text}" for name, text in self._figures().items()]
         lines.extend(f"note={note}" for note in self.notes)
         return "\n".join(lines) + "\n"
 
     def to_csv_row(self) -> str:
-        return (f"{self.r},{self.t},{self.n},{self.published_poly_prob!r},"
-                f"{self.exact_prob},{self.empirical_rate!r},"
-                f"{self.empirical_stderr!r},{self.trials}")
+        figures = self._figures()
+        return ",".join(figures[name] for name in CSV_HEADER.split(","))
 
 
 def attack_report(r: int, t: int, n: int, trials: int, seed: int) -> AttackReport:

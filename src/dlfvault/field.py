@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from ._wire import check_end, pack_lpint, read_header, unpack_lpint
 from .errors import BadFactorization, MalformedFile, ZeroInverse
@@ -40,8 +40,10 @@ def _sieve(limit):
     return [i for i in range(limit) if flags[i]]
 
 
-# 1100 > sqrt(2^20), so division by these is exhaustive below the bound
-_SMALL_PRIMES = _sieve(1100)
+# 1100 > sqrt(2^20), so a number below the bound with none of these as a
+# factor is prime
+_SMALL_PRIMES = frozenset(_sieve(1100))
+_SMALL_PRIMORIAL = prod(_SMALL_PRIMES)
 
 
 def _miller_rabin(n: int, rounds: int) -> bool:
@@ -68,20 +70,16 @@ def _miller_rabin(n: int, rounds: int) -> bool:
 
 
 def is_prime(n: int, rounds: int = _MILLER_RABIN_ROUNDS) -> bool:
-    """Primality test: exhaustive trial division below 2^20, Miller-Rabin
-    with `rounds` witnesses above; rounds below 1 raise ValueError."""
+    """Primality test: trial division by every prime below 1100 as one gcd
+    with their product, which is exhaustive below 2^20; Miller-Rabin with
+    `rounds` witnesses above. rounds below 1 raise ValueError."""
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, not {rounds}")
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    if n < _TRIAL_DIVISION_BOUND:
-        return True
-    return _miller_rabin(n, rounds)
+    if gcd(n, _SMALL_PRIMORIAL) != 1:
+        return n in _SMALL_PRIMES
+    return n < _TRIAL_DIVISION_BOUND or _miller_rabin(n, rounds)
 
 
 def is_primitive_root(candidate: int, p: int, factors: list[int]) -> bool:
@@ -238,8 +236,6 @@ class BinaryField16:
     """
 
     size = 1 << 16
-    reduction = GF16_REDUCTION_POLY
-    generator = 3  # x + 1
 
     def __init__(self):
         order = self.size - 1
@@ -262,8 +258,7 @@ class BinaryField16:
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
-    def sub(self, a: int, b: int) -> int:
-        return a ^ b
+    sub = add
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

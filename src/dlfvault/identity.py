@@ -72,18 +72,23 @@ def encode_identity(kappa128: int, id64: int) -> list[int]:
     return [(record.kappa_id >> (16 * i)) & 0xFFFF for i in range(COEFF_COUNT)]
 
 
+def _check_coeffs(coeffs: list[int]) -> None:
+    if len(coeffs) != COEFF_COUNT:
+        raise WrongCount(f"need exactly {COEFF_COUNT} coefficients, got {len(coeffs)}")
+    for i, c in enumerate(coeffs):
+        if not 0 <= c < 1 << 16:
+            raise ValueError(f"coefficient {i} does not fit in 16 bits")
+
+
 def decode_identity(coeffs: list[int]) -> tuple[int, int] | None:
     """Recover (kappa128, id64) from coefficients, or None on checksum failure.
 
     Rejection is a value, not an exception: a vault unlocked with wrong
     points routinely lands here, and the caller decides what that means.
     """
-    if len(coeffs) != COEFF_COUNT:
-        raise WrongCount(f"need exactly {COEFF_COUNT} coefficients, got {len(coeffs)}")
+    _check_coeffs(coeffs)
     record = 0
     for i, c in enumerate(coeffs):
-        if not 0 <= c < 1 << 16:
-            raise ValueError(f"coefficient {i} does not fit in 16 bits")
         record |= c << (16 * i)
     idc = record & ((1 << IDC_BITS) - 1)
     if crc16_remainder(idc, IDC_BITS, CRC16_GENERATOR) != 0:
@@ -94,8 +99,7 @@ def decode_identity(coeffs: list[int]) -> tuple[int, int] | None:
 def identity_to_bytes(coeffs: list[int]) -> bytes:
     """Identity coefficient file: magic, version, the GF(2^16) reduction
     polynomial as a u32, then 13 u16."""
-    if len(coeffs) != COEFF_COUNT:
-        raise WrongCount(f"need exactly {COEFF_COUNT} coefficients, got {len(coeffs)}")
+    _check_coeffs(coeffs)
     out = bytearray(_HEADER + _REDUCTION_BYTES)
     for c in coeffs:
         out += c.to_bytes(2, "big")

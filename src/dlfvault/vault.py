@@ -17,7 +17,6 @@ import hashlib
 import itertools
 import random
 import struct
-import sys
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field as dc_field
 
@@ -250,10 +249,8 @@ def subset_search(field, candidates, coeff_count, decode, max_subsets):
     if max_subsets < 0:
         raise ValueError(f"max_subsets must be non-negative, not {max_subsets}")
     tried = 0
-    # islice takes no stop above sys.maxsize, and no run gets that far
-    subsets = itertools.islice(itertools.combinations(candidates, coeff_count),
-                               min(max_subsets, sys.maxsize))
-    for tried, subset in enumerate(subsets, start=1):
+    for tried, subset in zip(range(1, max_subsets + 1),
+                             itertools.combinations(candidates, coeff_count)):
         coeffs = lagrange_interpolate(field, list(subset), coeff_count)
         try:
             return decode(coeffs), tried

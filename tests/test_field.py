@@ -28,19 +28,31 @@ def test_gen_params_five_bits_gives_the_only_safe_prime():
         assert f.alpha == 5
 
 
-def test_is_prime_matches_trial_division_oracle():
-    def oracle(n):
-        if n < 2:
+def _trial_division_oracle(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
             return False
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 1
-        return True
+        d += 1
+    return True
 
+
+def test_is_prime_matches_trial_division_oracle():
     for n in range(0, 4000):
-        assert is_prime(n) == oracle(n), n
+        assert is_prime(n) == _trial_division_oracle(n), n
+
+
+def test_is_prime_at_the_trial_division_bound():
+    # 2^20 is where the gcd with the small primes stops deciding alone
+    for n in range(2 ** 20 - 3000, 2 ** 20 + 3001):
+        assert is_prime(n) == _trial_division_oracle(n), n
+    assert is_prime(1048573)  # the largest prime below 2^20
+    # the smallest composites with no prime factor up to 1097; both lie
+    # above 2^20, so only Miller-Rabin can reject them
+    assert not is_prime(1103 * 1103)
+    assert not is_prime(1103 * 1109)
 
 
 def test_is_prime_large_values():
@@ -260,8 +272,3 @@ def test_gf16_distributive_random():
     for _ in range(500):
         a, b, c = (rng.randrange(1 << 16) for _ in range(3))
         assert gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
-
-
-def test_gf16_generator_frozen():
-    # the first generator above the trivial candidates for 0x1002b
-    assert binary_field().generator == 3

@@ -8,7 +8,7 @@ from dlfvault.errors import (
     NotEnoughMatches,
     WrongCount,
 )
-from dlfvault.field import binary_field
+from dlfvault.field import GF16_REDUCTION_POLY, binary_field
 from dlfvault.identity import (
     COEFF_COUNT,
     CRC16_GENERATOR,
@@ -107,7 +107,7 @@ def test_identity_file_roundtrip():
     data = identity_to_bytes(coeffs)
     back, reduction = identity_from_bytes(data)
     assert back == coeffs
-    assert reduction == binary_field().reduction
+    assert reduction == GF16_REDUCTION_POLY
 
 
 def test_identity_file_malformed():
@@ -125,6 +125,13 @@ def test_identity_file_malformed():
             identity_from_bytes(good[:5] + reduction.to_bytes(4, "big") + good[9:])
     with pytest.raises(WrongCount):
         identity_to_bytes([1, 2, 3])
+
+
+def test_identity_file_refuses_a_coefficient_decode_refuses():
+    for coeffs in ([70000] + [0] * 12, [-1] + [0] * 12, [0] * 12 + [1 << 16]):
+        for check in (decode_identity, identity_to_bytes):
+            with pytest.raises(ValueError, match="does not fit in 16 bits"):
+                check(coeffs)
 
 
 def test_vault_roundtrip_exact_match():

@@ -502,7 +502,7 @@ def test_negative_max_subsets_is_rejected(params64):
 
 
 def test_max_subsets_above_sys_maxsize_still_opens_the_vault(params64):
-    # islice rejects a stop above sys.maxsize; the budget is capped there instead
+    # a budget above sys.maxsize is an ordinary int budget
     rng = random.Random(67)
     msg = b"no limit"
     n = len(frame(msg, 16)) // 2
