@@ -11,6 +11,7 @@ that in their notes next to the exact value.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
@@ -52,21 +53,18 @@ def exact_success_prob(r: int, t: int, n: int) -> Fraction:
     return Fraction(math.comb(t, n), math.comb(r, n))
 
 
-def _splitmix64(z: int) -> int:
+def _draw(seed: int, index: int, bound: int) -> int:
+    # splitmix64 of (seed, index): a pure function, so trials are
+    # independent of iteration order and can be recomputed or partitioned
+    z = ((seed & _MASK64) * 0xD1342543DE82EF95 + index + 1) & _MASK64
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return z ^ (z >> 31)
+    return (z ^ (z >> 31)) % bound
 
 
-def _draw(seed: int, index: int, bound: int) -> int:
-    # pure function of (seed, index): trials are independent of iteration
-    # order and can be recomputed or partitioned freely
-    z = _splitmix64(((seed & _MASK64) * 0xD1342543DE82EF95 + index + 1) & _MASK64)
-    return z % bound
-
-
-def _sample_distinct(seed: int, trial: int, n: int, r: int) -> set[int]:
-    # Floyd's uniform n-subset of range(r); at most 2^16 draws per trial
+def _sample_distinct(seed: int, trial: int, n: int, r: int) -> Iterator[int]:
+    # Floyd's uniform n-subset of range(r), one element per draw; at most
+    # 2^16 draws per trial
     base = trial << 16
     taken = set()
     for step, j in enumerate(range(r - n, r)):
@@ -74,15 +72,17 @@ def _sample_distinct(seed: int, trial: int, n: int, r: int) -> set[int]:
         if x in taken:
             x = j
         taken.add(x)
-    return taken
+        yield x
 
 
 def monte_carlo_rate(r: int, t: int, n: int, trials: int, seed: int) -> tuple[float, float]:
     """Estimate exact_success_prob empirically; returns (rate, standard error).
 
     Treats the genuine points as indices 0..t-1, which costs no
-    generality under uniform sampling. Each trial is a pure function of
-    (seed, trial index).
+    generality under uniform sampling. A trial fails at its first chaff
+    draw (an index at or above t): Floyd's sampler only adds elements,
+    so later draws cannot change the verdict. Each trial is a pure
+    function of (seed, trial index).
     """
     if not 0 <= n <= t <= r:
         raise BadArguments(f"need 0 <= n <= t <= r, got r={r} t={t} n={n}")
@@ -90,10 +90,8 @@ def monte_carlo_rate(r: int, t: int, n: int, trials: int, seed: int) -> tuple[fl
         raise BadArguments("trials must be positive")
     if n.bit_length() > 16:
         raise BadArguments("subset size does not fit the per-trial draw budget")
-    successes = 0
-    for trial in range(trials):
-        if max(_sample_distinct(seed, trial, n, r), default=-1) < t:
-            successes += 1
+    successes = sum(all(x < t for x in _sample_distinct(seed, trial, n, r))
+                    for trial in range(trials))
     rate = successes / trials
     stderr = math.sqrt(rate * (1.0 - rate) / trials)
     return rate, stderr

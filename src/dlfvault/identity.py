@@ -37,7 +37,6 @@ KAPPA_BITS = 128
 ID_BITS = 64
 CRC_BITS = 16
 IDC_BITS = ID_BITS + CRC_BITS          # the checked tail
-RECORD_BITS = KAPPA_BITS + IDC_BITS    # 208 = 13 * 16
 
 _HEADER = b"DLFI\x01"
 _REDUCTION_BYTES = GF16_REDUCTION_POLY.to_bytes(4, "big")
@@ -45,31 +44,27 @@ _REDUCTION_BYTES = GF16_REDUCTION_POLY.to_bytes(4, "big")
 
 @dataclass(frozen=True)
 class IdentityRecord:
-    """One kappa/id pair with its derived checksum fields."""
+    """One kappa/id pair; encode_identity derives the checksum."""
 
     kappa128: int
     id64: int
-    crc16: int
-    idc: int        # id || crc, 80 bits
-    kappa_id: int   # kappa || id || crc, 208 bits
 
 
 def make_identity_record(kappa128: int, id64: int) -> IdentityRecord:
-    """Compute the checksum and assemble the full 208-bit record."""
+    """The pair, once kappa fits in 128 bits and id in 64."""
     if not 0 <= kappa128 < 1 << KAPPA_BITS:
         raise ValueError("kappa must fit in 128 bits")
     if not 0 <= id64 < 1 << ID_BITS:
         raise ValueError("id must fit in 64 bits")
-    crc = crc16_remainder(id64, ID_BITS, CRC16_GENERATOR)
-    idc = id64 << CRC_BITS | crc
-    return IdentityRecord(kappa128=kappa128, id64=id64, crc16=crc, idc=idc,
-                          kappa_id=kappa128 << IDC_BITS | idc)
+    return IdentityRecord(kappa128=kappa128, id64=id64)
 
 
 def encode_identity(kappa128: int, id64: int) -> list[int]:
-    """The 13 coefficients carrying the record; coeffs[i] is c_i."""
-    record = make_identity_record(kappa128, id64)
-    return [(record.kappa_id >> (16 * i)) & 0xFFFF for i in range(COEFF_COUNT)]
+    """The 13 coefficients carrying kappa || id || crc; coeffs[i] is c_i."""
+    make_identity_record(kappa128, id64)  # the range checks
+    crc = crc16_remainder(id64, ID_BITS, CRC16_GENERATOR)
+    record = (kappa128 << ID_BITS | id64) << CRC_BITS | crc
+    return [(record >> (16 * i)) & 0xFFFF for i in range(COEFF_COUNT)]
 
 
 def _check_coeffs(coeffs: list[int]) -> None:

@@ -98,11 +98,9 @@ class Vault:
         raw, offset = take(data, offset, 4)
         (count,) = struct.unpack(">I", raw)
         width = (params.p_bits + 7) // 8
-        points = []
-        for _ in range(count):
-            xb, offset = take(data, offset, width)
-            yb, offset = take(data, offset, width)
-            points.append((int.from_bytes(xb, "big"), int.from_bytes(yb, "big")))
+        raw, offset = take(data, offset, 2 * width * count)
+        coords = [int.from_bytes(raw[i:i + width], "big") for i in range(0, len(raw), width)]
+        points = list(zip(coords[::2], coords[1::2]))
         check_end(data, offset, "point list")
         if seg_bits <= 0 or seg_bits % 8 or seg_bits > params.p_bits - 1:
             raise MalformedFile(f"{seg_bits}-bit segments do not fit a {params.p_bits}-bit field")
@@ -164,11 +162,9 @@ def place_points(field, coeffs, locking_set, chaff_count, delta, seed):
     genuine = [(a, eval_poly(field, coeffs, a)) for a in locking_set]
     chaff = _generate_chaff(field, coeffs, sorted(locking_set), chaff_count,
                             delta, random.Random(_subseed(seed, "chaff")))
-    points = genuine + chaff
-    mask = [True] * len(genuine) + [False] * len(chaff)
-    order = list(range(len(points)))
-    random.Random(_subseed(seed, "scramble")).shuffle(order)
-    return [points[i] for i in order], [mask[i] for i in order]
+    tagged = [(point, True) for point in genuine] + [(point, False) for point in chaff]
+    random.Random(_subseed(seed, "scramble")).shuffle(tagged)
+    return [point for point, _ in tagged], [is_genuine for _, is_genuine in tagged]
 
 
 def lock(message: bytes, locking_set, scheme: Scheme, params: PrimeField,

@@ -66,14 +66,14 @@ def test_exact_prob_validates():
 
 def test_sample_distinct_is_uniform_shaped_and_pure():
     for trial in range(50):
-        sample = _sample_distinct(seed=9, trial=trial, n=4, r=12)
-        assert len(sample) == 4
+        sample = list(_sample_distinct(seed=9, trial=trial, n=4, r=12))
+        assert len(set(sample)) == 4
         assert all(0 <= x < 12 for x in sample)
-        assert sample == _sample_distinct(seed=9, trial=trial, n=4, r=12)
-    assert (_sample_distinct(seed=9, trial=0, n=4, r=12)
-            != _sample_distinct(seed=10, trial=0, n=4, r=12)
-            or _sample_distinct(seed=9, trial=1, n=4, r=12)
-            != _sample_distinct(seed=10, trial=1, n=4, r=12))
+        assert sample == list(_sample_distinct(seed=9, trial=trial, n=4, r=12))
+    assert (list(_sample_distinct(seed=9, trial=0, n=4, r=12))
+            != list(_sample_distinct(seed=10, trial=0, n=4, r=12))
+            or list(_sample_distinct(seed=9, trial=1, n=4, r=12))
+            != list(_sample_distinct(seed=10, trial=1, n=4, r=12)))
 
 
 def test_monte_carlo_agrees_with_exact():
@@ -89,6 +89,24 @@ def test_monte_carlo_deterministic():
     assert a == b
     c = monte_carlo_rate(12, 6, 3, trials=5000, seed=43)
     assert a != c
+
+
+def test_monte_carlo_stream_is_pinned():
+    # exact success counts of the seeded draw stream; a change to the
+    # draws, their order or the verdict moves at least one of them
+    pinned = [
+        ((12, 6, 3, 5000, 42), 471),
+        ((10, 5, 3, 50000, 1), 4165),
+        ((20, 10, 4, 20000, 5), 913),
+        ((100, 60, 2, 20000, 9), 7018),
+        ((7, 7, 7, 100, 1), 100),
+        ((9, 4, 0, 10, 2), 10),
+        # r - n < t: a collision's fallback x = j can still be genuine
+        ((10, 8, 5, 20000, 3), 4419),
+    ]
+    for (r, t, n, trials, seed), successes in pinned:
+        rate, _ = monte_carlo_rate(r, t, n, trials, seed)
+        assert rate == successes / trials
 
 
 def test_monte_carlo_certain_cases():

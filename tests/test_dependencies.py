@@ -49,3 +49,36 @@ def test_package_has_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in imported if name not in used]
     assert unused == []
+
+
+def _parsed(*dirs):
+    for folder in dirs:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_package_defines_no_unreferenced_names():
+    # a name is referenced when some module loads it or reads it as an attribute
+    referenced = set()
+    for _, tree in _parsed("src", "tests", "bench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.attr)
+    unreferenced = []
+    for path, tree in _parsed("src/dlfvault"):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                # an unpacking binds every position, so its unread ones are
+                # discards; only a whole-target name counts as a definition
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            unreferenced += [f"{path.name}: {name}" for name in names
+                             if name not in referenced
+                             and not (name.startswith("__") and name.endswith("__"))]
+    assert unreferenced == []

@@ -23,7 +23,7 @@ from dlfvault.identity import (
     identity_vault_roundtrip,
     make_identity_record,
 )
-from dlfvault.polynomial import eval_poly, lagrange_interpolate
+from dlfvault.polynomial import crc16_remainder, eval_poly, lagrange_interpolate
 
 
 def test_generator_constant():
@@ -31,10 +31,7 @@ def test_generator_constant():
 
 
 def test_record_layout_frozen_example():
-    rec = make_identity_record(kappa128=0, id64=1)
-    assert rec.crc16 == 0x8005
-    assert rec.idc == (1 << 16) | 0x8005
-    assert rec.kappa_id == rec.idc
+    assert encode_identity(0, 1) == [0x8005, 1] + [0] * 11
 
 
 def test_chunking_matches_independent_bit_packing():
@@ -42,15 +39,16 @@ def test_chunking_matches_independent_bit_packing():
     for _ in range(100):
         kappa = rng.randrange(1 << KAPPA_BITS)
         ident = rng.randrange(1 << ID_BITS)
-        rec = make_identity_record(kappa, ident)
+        crc = crc16_remainder(ident, ID_BITS, CRC16_GENERATOR)
         coeffs = encode_identity(kappa, ident)
         assert len(coeffs) == COEFF_COUNT
-        # independent route: serialize the record to 26 bytes and read
-        # 16-bit words most significant first
-        blob = rec.kappa_id.to_bytes(26, "big")
+        # independent route: serialize kappa || id || crc to 26 bytes and
+        # read 16-bit words most significant first
+        blob = (kappa.to_bytes(16, "big") + ident.to_bytes(8, "big")
+                + crc.to_bytes(2, "big"))
         words = [int.from_bytes(blob[i:i + 2], "big") for i in range(0, 26, 2)]
         assert coeffs == words[::-1]
-        assert coeffs[0] == rec.crc16
+        assert coeffs[0] == crc
         assert coeffs[12] == kappa >> (KAPPA_BITS - 16)
 
 
