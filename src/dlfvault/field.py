@@ -6,7 +6,10 @@ frozen pair of p and a fixed primitive root alpha. Every field, in
 memory or read from bytes, is a safe prime p = 2q + 1 of at most
 MAX_P_BITS bits with alpha a primitive root; that is proven from the
 structure of p (Pocklington's criterion, one Miller-Rabin test on q)
-once per process, and later uses of the same (p, alpha) reuse it. GF(2^16)
+once per process, and later uses of the same (p, alpha) reuse it.
+gen_params finds q by a joint sieve (one gcd of q(2q + 1) with the
+product of the primes below 1100), then single-round tests on q and
+2q + 1, then that certificate. GF(2^16)
 elements are ints in [0, 65536) interpreted as polynomials over GF(2),
 reduced mod the fixed polynomial x^16+x^5+x^3+x+1; there is no other
 choice of reduction.
@@ -167,16 +170,24 @@ def gen_params(bits: int, seed: int) -> PrimeField:
     and its smallest primitive root.
 
     p = 2q + 1 with q prime; candidates for q are drawn from a seeded rng,
-    filtered with single-round tests, then proven with the same
-    certificate every loaded field gets. For prime p, alpha^q is 1 or
-    p - 1, so the smallest alpha with alpha^q != 1 is the smallest
-    primitive root; safe primes have abundant ones.
+    passed through a joint sieve that drops q when q or 2q + 1 has a
+    prime factor below 1100 (Wiener's combined sieve), filtered with
+    single-round tests, then proven with the same certificate every
+    loaded field gets. The sieve only acts above q = 1100, where q and
+    2q + 1 cannot be small primes themselves, so every candidate it drops
+    is one that is_prime(q) or is_prime(2q + 1) rejects by trial division
+    anyway: the rng draws and the accepted (p, alpha) are the same as
+    without it, and Miller-Rabin runs only on the survivors. For prime p,
+    alpha^q is 1 or p - 1, so the smallest alpha with alpha^q != 1 is the
+    smallest primitive root; safe primes have abundant ones.
     """
     if not 5 <= bits <= MAX_P_BITS:
         raise ValueError(f"bits must lie in [5, {MAX_P_BITS}], not {bits}")
     rng = random.Random(seed)
     while True:
         q = rng.randrange(1 << (bits - 2), 1 << (bits - 1)) | 1
+        if q > 1100 and gcd(q * (2 * q + 1), _SMALL_PRIMORIAL) != 1:
+            continue
         if not is_prime(q, rounds=1):
             continue
         p = 2 * q + 1

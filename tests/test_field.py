@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -123,6 +125,34 @@ def test_gen_params_deterministic():
     assert gen_params(32, seed=9) == gen_params(32, seed=9)
     with pytest.raises(ValueError):
         gen_params(4, seed=0)
+
+
+def test_gen_params_output_is_pinned():
+    # the fields generated before the joint sieve, byte for byte; from 5
+    # bits up, where q or 2q + 1 is itself one of the small primes
+    h = hashlib.sha256()
+    for bits, seed in [(b, s) for b in range(5, 70) for s in range(2)] + [
+        (b, s) for b in (128, 192, 256) for s in range(2)
+    ]:
+        h.update(params_to_file(gen_params(bits, seed)))
+    assert h.hexdigest() == "a94953aa3297e61493bba3211faceb927735416e9f09345c7b8dbfdc44f2921e"
+
+
+def test_gen_params_sieves_q_and_2q_plus_1_before_miller_rabin(monkeypatch):
+    # every single-round test on a 255-bit q (the 256-bit p = 2q + 1 is
+    # tested the same way once q passes) comes after the joint gcd sieve
+    calls = []
+    miller_rabin = field_module._miller_rabin
+
+    def recording(n, rounds):
+        calls.append((n, rounds))
+        return miller_rabin(n, rounds)
+
+    monkeypatch.setattr(field_module, "_miller_rabin", recording)
+    gen_params(256, 1)
+    qs = [n for n, rounds in calls if rounds == 1 and n.bit_length() == 255]
+    assert qs
+    assert all(gcd(q * (2 * q + 1), field_module._SMALL_PRIMORIAL) == 1 for q in qs)
 
 
 def test_prime_field_validates_inputs():
