@@ -9,7 +9,7 @@ Exit codes:
     4  message too large for whole-message encoding
     5  chaff placement ran out of room
     6  not enough matched points to interpolate
-    7  subset search exhausted without a valid digest
+    7  no valid digest from the decoder pass or the subset search
     8  identity decode rejected
 
 Every command that consumes randomness prints the seed it ran with, so
@@ -220,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vault", required=True)
     p.add_argument("--set", required=True, help="unlocking set, one integer per line")
     p.add_argument("--key", default=None, help="key file; omit for classical vaults")
-    p.add_argument("--max-subsets", type=int, default=DEFAULT_MAX_SUBSETS, dest="max_subsets")
+    p.add_argument("--max-subsets", type=int, default=DEFAULT_MAX_SUBSETS, dest="max_subsets",
+                   help="subsets the fallback search may try when the one Reed-Solomon "
+                        "decoder pass fails; the decoder pass is not counted")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_unlock)
 
@@ -247,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-out", default=None, dest="report_out")
     p.add_argument("--vault", default=None, help="brute-force this vault file instead")
     p.add_argument("--key", default=None)
-    p.add_argument("--max-subsets", type=int, default=DEFAULT_MAX_SUBSETS, dest="max_subsets")
+    p.add_argument("--max-subsets", type=int, default=DEFAULT_MAX_SUBSETS, dest="max_subsets",
+                   help="subsets the brute force may try")
     p.set_defaults(func=_cmd_attack)
 
     return parser

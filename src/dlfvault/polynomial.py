@@ -1,13 +1,15 @@
-"""Polynomial evaluation and interpolation over a field, plus the bit-exact
-CRC remainder used by the identity binding.
+"""Polynomial evaluation and interpolation over a field, Reed-Solomon
+decoding over F_p, plus the bit-exact CRC remainder used by the identity
+binding.
 
 Coefficient lists are low-to-high: coeffs[i] multiplies X^i. Length is the
 scheme parameter, not degree, so leading zeros are legitimate.
 
-Over a PrimeField both kernels run on plain ints modulo p, and an
+Over a PrimeField the kernels run on plain ints modulo p, and an
 interpolation inverts its n denominators together with one modular
 inverse (Montgomery's batch inversion). Any other field, in practice the
-GF(2^16) of the identity binding, goes through its add/sub/mul/inv methods.
+GF(2^16) of the identity binding, goes through its add/sub/mul/inv methods
+and has no decoder.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def lagrange_interpolate(field, points: list[tuple[int, int]], coeff_count: int)
     if len(set(xs)) != len(xs):
         raise DuplicateX("interpolation points share an x coordinate")
     if isinstance(field, PrimeField):
-        return _interpolate_mod_p(field, points, coeff_count)
+        return _interpolate_mod_p(field, points, _product_mod_p(field.p, xs))
 
     n = coeff_count
     # master(X) = prod_j (X - x_j), length n + 1
@@ -77,13 +79,20 @@ def lagrange_interpolate(field, points: list[tuple[int, int]], coeff_count: int)
     return result
 
 
-def _interpolate_mod_p(field: PrimeField, points: list[tuple[int, int]], n: int) -> list[int]:
-    """lagrange_interpolate on plain ints mod p, once its checks passed."""
+def _product_mod_p(p: int, xs: list[int]) -> list[int]:
+    """prod_j (X - x_j) mod p, length len(xs) + 1; each step multiplies by (X - x)."""
+    product = [1]
+    for x in xs:
+        product = [(lo - x * hi) % p for lo, hi in zip([0] + product, product + [0])]
+    return product
+
+
+def _interpolate_mod_p(field: PrimeField, points: list[tuple[int, int]],
+                       master: list[int]) -> list[int]:
+    """lagrange_interpolate on plain ints mod p, once its checks passed;
+    master is _product_mod_p of the points' x values."""
     p = field.p
-    # master(X) = prod_j (X - x_j), length n + 1; each step multiplies by (X - x)
-    master = [1]
-    for x, _ in points:
-        master = [(lo - x * hi) % p for lo, hi in zip([0] + master, master + [0])]
+    n = len(points)
     quotients, denoms = [], []
     for x, _ in points:
         # synthetic division: q = master / (X - x), degree n - 1
@@ -110,6 +119,82 @@ def _interpolate_mod_p(field: PrimeField, points: list[tuple[int, int]], n: int)
         scales[i] = points[i][1] * acc * prefix[i] % p
         acc = acc * denoms[i] % p
     return [sum(map(mul, column, scales)) % p for column in zip(*quotients)]
+
+
+def rs_decode(field: PrimeField, points: list[tuple[int, int]],
+              coeff_count: int) -> list[int] | None:
+    """The coefficient list of length coeff_count whose polynomial agrees
+    with at least ceil((m + coeff_count) / 2) of the m points, or None.
+
+    Such a polynomial is unique, since two of them would share
+    coeff_count points. The points are a Reed-Solomon codeword with at
+    most floor((m - coeff_count) / 2) errors, which Gao's decoder ("A new
+    algorithm for decoding Reed-Solomon codes", 2003) corrects in O(m^2)
+    on plain ints mod p. The interpolant of the first coeff_count points
+    is tried first: when it already agrees with enough points, no m-point
+    decode runs. Fewer than coeff_count points, or two x values equal
+    mod p, give None.
+    """
+    m, n, p = len(points), coeff_count, field.p
+    xs = [x for x, _ in points]
+    if m < n or len({x % p for x in xs}) < m:
+        return None
+    need = m - (m - n) // 2
+    guess = _interpolate_mod_p(field, points[:n], _product_mod_p(p, xs[:n]))
+    agree = n
+    for i in range(n, m):
+        # stop once the count is reached, or out of reach of the m - i points left
+        if agree >= need or agree + m - i < need:
+            break
+        x, y = points[i]
+        agree += eval_poly(field, guess, x) == y % p
+    if agree >= need:
+        return guess
+    # g1 interpolates all m points, and g0 vanishes on every x. Euclid on
+    # (g0, g1) stops at the first remainder g below degree (m + n) / 2;
+    # g1's cofactor v there has at most floor((m - n) / 2) roots, among
+    # them every error's x, and f = g / v when it divides exactly.
+    g0 = _product_mod_p(p, xs)
+    r0, r1 = g0, _trim(_interpolate_mod_p(field, points, g0))
+    v0, v1 = [], [1]
+    while 2 * (len(r1) - 1) >= m + n:
+        quotient, remainder = _divmod_mod_p(r0, r1, p)
+        r0, r1 = r1, remainder
+        v0, v1 = v1, _sub_mul_mod_p(v0, quotient, v1, p)
+    f, remainder = _divmod_mod_p(r1, v1, p)
+    if remainder or len(f) > n:
+        return None
+    return f + [0] * (n - len(f))
+
+
+def _trim(poly: list[int]) -> list[int]:
+    """poly without its zero top coefficients; [] is the zero polynomial."""
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+def _divmod_mod_p(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Trimmed quotient and remainder of a by a trimmed, nonzero b, mod p."""
+    rem = list(a)
+    top = len(b) - 1
+    lead_inv = pow(b[-1], -1, p)
+    quotient = [0] * max(len(a) - top, 0)
+    for i in range(len(quotient) - 1, -1, -1):
+        c = rem[i + top] * lead_inv % p
+        quotient[i] = c
+        for j, bj in enumerate(b):
+            rem[i + j] = (rem[i + j] - c * bj) % p
+    return _trim(quotient), _trim(rem[:top])
+
+
+def _sub_mul_mod_p(a: list[int], b: list[int], c: list[int], p: int) -> list[int]:
+    """a - b * c mod p, trimmed."""
+    out = a + [0] * max(len(b) + len(c) - 1 - len(a), 0)
+    for i, bi in enumerate(b):
+        for j, cj in enumerate(c):
+            out[i + j] -= bi * cj
+    return _trim([v % p for v in out])
 
 
 def crc16_remainder(value: int, bit_len: int, generator: int) -> int:

@@ -1,6 +1,7 @@
 """Fuzzy vault core: points, search, file. Point placement, tolerance
 matching, subset search, lock/unlock and the DLFV format; dlog_codec
-maps messages to coefficients and back.
+maps messages to coefficients and back. Unlock decodes the matches as a
+Reed-Solomon codeword first and walks subsets only when that fails.
 
 A vault is r points over a field: F_p for the four schemes here,
 GF(2^16) for identity binding, which reuses place_points, nearest_points
@@ -41,9 +42,14 @@ from .errors import (
     SignatureMismatch,
 )
 from .field import PrimeField
-from .polynomial import eval_poly, lagrange_interpolate
+from .polynomial import eval_poly, lagrange_interpolate, rs_decode
 
+# subsets unlock's fallback search and the brute-force attack may try;
+# unlock's single Reed-Solomon decoder pass is not counted against it
 DEFAULT_MAX_SUBSETS = 100_000
+
+# what a decode callable raises to reject a candidate polynomial
+_REJECTED = (BadLength, MalformedFrame, SignatureMismatch)
 
 # consecutive placement failures tolerated before chaff generation gives up
 _CHAFF_ATTEMPTS = 1000
@@ -235,9 +241,12 @@ def subset_search(field, candidates, coeff_count, decode, max_subsets):
     x order until decode accepts one; returns (decoded value or None,
     subsets tried).
 
-    Fewer than coeff_count candidates raise NotEnoughMatches, and a
-    negative max_subsets raises ValueError. decode raises BadLength,
-    MalformedFrame or SignatureMismatch to reject a candidate polynomial.
+    This is the paper's attack model and identity binding's search, and
+    unlock's fallback beyond the Reed-Solomon decoding radius; max_subsets
+    bounds this search only. Fewer than coeff_count candidates raise
+    NotEnoughMatches, and a negative max_subsets raises ValueError.
+    decode raises BadLength, MalformedFrame or SignatureMismatch to
+    reject a candidate polynomial.
     """
     if len(candidates) < coeff_count:
         raise NotEnoughMatches(
@@ -250,7 +259,7 @@ def subset_search(field, candidates, coeff_count, decode, max_subsets):
         coeffs = lagrange_interpolate(field, list(subset), coeff_count)
         try:
             return decode(coeffs), tried
-        except (BadLength, MalformedFrame, SignatureMismatch):
+        except _REJECTED:
             continue
     return None, tried
 
@@ -259,13 +268,25 @@ def unlock(vault: Vault, unlocking_set, key_file: KeyFile | None = None,
            max_subsets: int = DEFAULT_MAX_SUBSETS) -> bytes:
     """Recover the message from a vault given an unlocking set and the key.
 
-    Probes are matched against vault points within delta, then subsets
-    of the matches are interpolated until the framed digest verifies.
-    key_file may be omitted for classical vaults only.
+    Probes are matched against vault points within delta. One
+    Reed-Solomon decoder pass over the m matches opens the vault when at
+    most floor((m - n) / 2) of them are chaff, n being the coefficient
+    count. When it finds no polynomial, or the framed digest rejects it,
+    subset_search tries at most max_subsets subsets of the matches; the
+    decoder pass is not counted against max_subsets. key_file may be
+    omitted for classical vaults only.
     """
     decode = message_decoder(vault, key_file or KeyFile())
-    message, tried = subset_search(vault.params, match_points(vault, unlocking_set),
-                                   vault.coeff_count, decode, max_subsets)
+    candidates = match_points(vault, unlocking_set)
+    # a negative budget is subset_search's error to raise, decodable or not
+    coeffs = rs_decode(vault.params, candidates, vault.coeff_count) if max_subsets >= 0 else None
+    if coeffs is not None:
+        try:
+            return decode(coeffs)
+        except _REJECTED:
+            pass
+    message, tried = subset_search(vault.params, candidates, vault.coeff_count, decode,
+                                   max_subsets)
     if message is None:
         raise DecodeFailed(f"no subset of {tried} tried produced a valid digest")
     return message

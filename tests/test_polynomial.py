@@ -6,7 +6,7 @@ import pytest
 from dlfvault import field as field_module, polynomial
 from dlfvault.errors import DuplicateX, WrongCount, ZeroInverse
 from dlfvault.field import PrimeField, binary_field
-from dlfvault.polynomial import crc16_remainder, eval_poly, lagrange_interpolate
+from dlfvault.polynomial import crc16_remainder, eval_poly, lagrange_interpolate, rs_decode
 from helpers import PowCounter
 
 # the 1024-bit MODP prime of RFC 2409 (Oakley group 2), a safe prime whose
@@ -154,6 +154,49 @@ def test_prime_field_interpolation_computes_one_inverse(params256, monkeypatch):
 def test_interpolate_x_values_equal_mod_p_raise_zero_inverse():
     with pytest.raises(ZeroInverse):
         lagrange_interpolate(PrimeField(23, 5), [(1, 1), (24, 2)], 2)
+
+
+def _with_errors(rng, p, points, positions):
+    """points with the y value at each position moved off its polynomial."""
+    out = list(points)
+    for i in positions:
+        x, y = out[i]
+        out[i] = (x, (y + 1 + rng.randrange(p - 1)) % p)
+    return out
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_rs_decode_corrects_errors_up_to_the_radius(bits, params64, params256):
+    f = {64: params64, 256: params256}[bits]
+    rng = random.Random(18 + bits)
+    for n in range(1, 13):
+        for m in range(n, n + 21):
+            coeffs = [rng.randrange(f.p) for _ in range(n)]
+            points = [(x, eval_poly(f, coeffs, x)) for x in sorted(distinct_residues(rng, f.p, m))]
+            radius = (m - n) // 2
+            assert rs_decode(f, points, n) == lagrange_interpolate(f, points[:n], n) == coeffs
+            if radius:
+                # radius errors past the first n sorted x values, then radius
+                # errors one of which is among them
+                late = rng.sample(range(n, m), radius)
+                first = rng.randrange(n)
+                anywhere = [first] + rng.sample([i for i in range(m) if i != first], radius - 1)
+                for errors in (late, anywhere):
+                    decoded = rs_decode(f, _with_errors(rng, f.p, points, errors), n)
+                    assert decoded == coeffs, (n, m, sorted(errors))
+            # one error past the radius: None, or a polynomial that still
+            # agrees with at least ceil((m + n) / 2) points
+            beyond = _with_errors(rng, f.p, points, rng.sample(range(m), radius + 1))
+            decoded = rs_decode(f, beyond, n)
+            if decoded is not None:
+                assert len(decoded) == n
+                assert sum(eval_poly(f, decoded, x) == y for x, y in beyond) >= -(-(m + n) // 2)
+
+
+def test_rs_decode_refuses_too_few_points_and_x_values_equal_mod_p():
+    f = PrimeField(23, 5)
+    assert rs_decode(f, [(1, 1), (2, 2)], 3) is None
+    assert rs_decode(f, [(1, 1), (24, 2), (3, 3)], 1) is None
 
 
 # CRC-16

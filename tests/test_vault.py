@@ -108,6 +108,64 @@ def test_unlock_survives_one_bad_element(params64):
     assert unlock(vault, B, key_file) == msg
 
 
+@pytest.fixture(scope="module")
+def eleven_coefficient_vault(params128):
+    """A classical 128-bit vault with n = 11 (a 64-byte message at 64-bit
+    segments), 30 genuine x values spread over [0, p) and 300 chaff;
+    returns (vault, message, genuine x values, chaff x values)."""
+    rng = random.Random(70)
+    A = sorted({rng.randrange(params128.p) for _ in range(30)})
+    msg = rng.randbytes(64)
+    vault, _ = lock(msg, A, Scheme.CLASSICAL, params128, chaff_count=300, seed=71, seg_bits=64)
+    assert vault.coeff_count == 11
+    chaff = [x for (x, _), genuine in zip(vault.points, vault.genuine_mask) if not genuine]
+    return vault, msg, A, chaff
+
+
+def _probe(rng, genuine, chaff, hits, n):
+    """genuine plus `hits` chaff x values, shuffled, drawn again until a
+    chaff point falls among the first n in x order when hits > 0."""
+    while True:
+        hit = rng.sample(chaff, hits)
+        if not hits or min(hit) < sorted(genuine + hit)[n - 1]:
+            probe = genuine + hit
+            rng.shuffle(probe)
+            return probe
+
+
+@pytest.mark.parametrize("hits", [2, 4, 6, 8, 9])
+def test_chaff_hits_within_the_radius_open_without_a_subset(eleven_coefficient_vault, hits):
+    # m = 20 + 2 * hits candidates: the radius floor((m - 11) / 2) is 4 + hits
+    vault, msg, A, chaff = eleven_coefficient_vault
+    rng = random.Random(72 + hits)
+    probe = _probe(rng, rng.sample(A, 20 + hits), chaff, hits, 11)
+    assert unlock(vault, probe, max_subsets=0) == msg
+    rng.shuffle(probe)
+    assert unlock(vault, probe, max_subsets=0) == msg
+
+
+def test_chaff_hits_past_the_radius_fall_back_to_subset_search(eleven_coefficient_vault):
+    # 11 genuine points below 12 chaff: m = 23, radius 6; the first
+    # subset in x order is the genuine one
+    vault, msg, A, chaff = eleven_coefficient_vault
+    rng = random.Random(73)
+    genuine = A[:11]
+    probe = genuine + rng.sample([x for x in chaff if x > genuine[-1]], 12)
+    rng.shuffle(probe)
+    with pytest.raises(DecodeFailed):
+        unlock(vault, probe, max_subsets=0)
+    assert unlock(vault, probe, max_subsets=1) == msg
+
+
+def test_an_impostor_still_walks_its_subset_budget(eleven_coefficient_vault):
+    vault, _, A, chaff = eleven_coefficient_vault
+    rng = random.Random(74)
+    probe = rng.sample(A, 10) + rng.sample(chaff, 5)
+    with pytest.raises(DecodeFailed) as exc_info:
+        unlock(vault, probe, max_subsets=40)
+    assert "40" in str(exc_info.value)
+
+
 def test_match_points_nearest_within_delta(params64):
     vault, _ = lock(b"", [1000, 2000, 3000] + list(range(4000, 4000 + 21 * 60, 60)),
                     Scheme.CLASSICAL, params64, chaff_count=0, delta=5,
