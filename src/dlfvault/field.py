@@ -7,9 +7,11 @@ memory or read from bytes, is a safe prime p = 2q + 1 of at most
 MAX_P_BITS bits with alpha a primitive root; that is proven from the
 structure of p (Pocklington's criterion, one Miller-Rabin test on q)
 once per process, and later uses of the same (p, alpha) reuse it.
-gen_params finds q by a joint sieve (one gcd of q(2q + 1) with the
-product of the primes below 1100), then single-round tests on q and
-2q + 1, then that certificate. GF(2^16)
+gen_params finds q by a staged sieve on q and 2q + 1, cheapest stage
+first: a residue wheel modulo 3*5*7*11*13, one gcd of q(2q + 1) with the
+product of the primes below 1100, and one with the product of the primes
+from 1100 to 2^14. Then come single-round tests on q and 2q + 1, then
+that certificate. The sieve changes no output: see gen_params. GF(2^16)
 elements are ints in [0, 65536) interpreted as polynomials over GF(2),
 reduced mod the fixed polynomial x^16+x^5+x^3+x+1; there is no other
 choice of reduction.
@@ -47,6 +49,33 @@ def _sieve(limit):
 # factor is prime
 _SMALL_PRIMES = frozenset(_sieve(1100))
 _SMALL_PRIMORIAL = prod(_SMALL_PRIMES)
+
+# gen_params sieves q and 2q + 1 by every prime below this bound, and
+# only for q above it, where neither can be one of those primes
+_SIEVE_BOUND = 1 << 14
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL = prod(_WHEEL_PRIMES)
+
+
+def _wheel_table() -> bytes:
+    # 1 at each residue r mod _WHEEL where neither r nor 2r + 1 shares a
+    # factor with _WHEEL; f divides 2r + 1 exactly when r = (f - 1) / 2 mod f
+    allowed = bytearray([1]) * _WHEEL
+    for f in _WHEEL_PRIMES:
+        for r in (0, (f - 1) // 2):
+            allowed[r::f] = bytearray(len(allowed[r::f]))
+    return bytes(allowed)
+
+
+_WHEEL_ALLOWED = _wheel_table()
+
+
+@lru_cache(maxsize=None)
+def _wide_primorial() -> int:
+    """Product of the primes in [1100, _SIEVE_BOUND), about 22,000 bits:
+    built on the first gen_params call, so importing the package does
+    not pay for it."""
+    return prod(_sieve(_SIEVE_BOUND)[len(_SMALL_PRIMES):])
 
 
 def _miller_rabin(n: int, rounds: int) -> bool:
@@ -171,23 +200,43 @@ def gen_params(bits: int, seed: int) -> PrimeField:
 
     p = 2q + 1 with q prime; candidates for q are drawn from a seeded rng,
     passed through a joint sieve that drops q when q or 2q + 1 has a
-    prime factor below 1100 (Wiener's combined sieve), filtered with
-    single-round tests, then proven with the same certificate every
-    loaded field gets. The sieve only acts above q = 1100, where q and
-    2q + 1 cannot be small primes themselves, so every candidate it drops
-    is one that is_prime(q) or is_prime(2q + 1) rejects by trial division
-    anyway: the rng draws and the accepted (p, alpha) are the same as
-    without it, and Miller-Rabin runs only on the survivors. For prime p,
-    alpha^q is 1 or p - 1, so the smallest alpha with alpha^q != 1 is the
-    smallest primitive root; safe primes have abundant ones.
+    prime factor below _SIEVE_BOUND = 2^14 (Wiener's combined sieve),
+    filtered with single-round tests, then proven with the same
+    certificate every loaded field gets. The sieve runs in three stages,
+    cheapest first:
+
+    1. a table lookup of q mod 3*5*7*11*13, which drops about 90% of
+       draws;
+    2. one gcd of q(2q + 1) with the product of the primes below 1100;
+    3. one gcd of q(2q + 1) with the product of the primes in
+       [1100, 2^14).
+
+    The sieve acts only above q = 2^14, where q and 2q + 1 cannot be one
+    of its primes, so each candidate it drops is composite in q or in
+    2q + 1. Stages 1-2 drop only candidates that is_prime(q) or
+    is_prime(2q + 1) rejects by trial division anyway. Stage 3 drops
+    candidates that would otherwise reach a single-round Miller-Rabin,
+    so the output stays the same for a weaker reason: Pocklington's
+    criterion in the certificate rejects every composite p whose q is
+    prime, so such a candidate could have been accepted without stage 3
+    only if its composite q passed the certificate's 64-round
+    Miller-Rabin. Miller-Rabin draws its witnesses from its own rng, so
+    the sieve leaves the draws of q, and with them the accepted
+    (p, alpha), unchanged. For prime p, alpha^q is 1 or p - 1, so the
+    smallest alpha with alpha^q != 1 is the smallest primitive root;
+    safe primes have abundant ones.
     """
     if not 5 <= bits <= MAX_P_BITS:
         raise ValueError(f"bits must lie in [5, {MAX_P_BITS}], not {bits}")
     rng = random.Random(seed)
     while True:
         q = rng.randrange(1 << (bits - 2), 1 << (bits - 1)) | 1
-        if q > 1100 and gcd(q * (2 * q + 1), _SMALL_PRIMORIAL) != 1:
-            continue
+        if q > _SIEVE_BOUND:
+            if not _WHEEL_ALLOWED[q % _WHEEL]:
+                continue
+            both = q * (2 * q + 1)
+            if gcd(both, _SMALL_PRIMORIAL) != 1 or gcd(both, _wide_primorial()) != 1:
+                continue
         if not is_prime(q, rounds=1):
             continue
         p = 2 * q + 1

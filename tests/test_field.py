@@ -2,7 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -153,6 +153,41 @@ def test_gen_params_sieves_q_and_2q_plus_1_before_miller_rabin(monkeypatch):
     qs = [n for n, rounds in calls if rounds == 1 and n.bit_length() == 255]
     assert qs
     assert all(gcd(q * (2 * q + 1), field_module._SMALL_PRIMORIAL) == 1 for q in qs)
+
+
+def test_gen_params_sieves_below_2_14_before_miller_rabin(monkeypatch):
+    # no q or p = 2q + 1 reaches a single-round test with a prime factor
+    # below 2^14, the sieve's bound
+    primorial = prod(n for n in range(2, 1 << 14) if is_prime(n))
+    tested = []
+    miller_rabin = field_module._miller_rabin
+
+    def recording(n, rounds):
+        if rounds == 1:
+            tested.append(n)
+        return miller_rabin(n, rounds)
+
+    monkeypatch.setattr(field_module, "_miller_rabin", recording)
+    f = gen_params(256, 1)
+    assert f.p // 2 in tested and f.p in tested
+    assert all(gcd(n, primorial) == 1 for n in tested)
+
+
+def test_gen_params_keygen_fields_are_pinned():
+    # the 384- and 512-bit fields, byte for byte as generated before the
+    # staged sieve
+    h = hashlib.sha256()
+    for bits, seed in [(384, 1), (384, 2), (384, 3), (384, 4), (512, 0)]:
+        h.update(params_to_file(gen_params(bits, seed)))
+    assert h.hexdigest() == "5932fa94448d1e0efe625a00cd9ca78b7646e2db261208504b390cded35b09d1"
+
+
+def test_sieve_wheel_allows_exactly_the_residues_coprime_in_r_and_2r_plus_1():
+    wheel = 3 * 5 * 7 * 11 * 13
+    table = field_module._WHEEL_ALLOWED
+    assert len(table) == wheel
+    assert all(table[r] == (gcd(r * (2 * r + 1), wheel) == 1) for r in range(wheel))
+    assert sum(table) == 1485
 
 
 def test_prime_field_validates_inputs():
