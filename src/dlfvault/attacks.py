@@ -149,6 +149,10 @@ def attack_report(r: int, t: int, n: int, trials: int, seed: int) -> AttackRepor
         notes.append(f"point ratio {ratio!r} exceeds 1; reported as printed, not a probability")
     if poly > 1.0:
         notes.append(f"paper_eq30 {poly!r} exceeds 1; the exact probability is {float(exact)!r}")
+    if rate == 0.0:
+        # rule of three: no success in N trials puts the rate below 3/N at 95%
+        notes.append(f"empirical rate 0 is no success in {trials} trials; "
+                     f"95% upper bound {3 / trials!r} (rule of three)")
     return AttackReport(r=r, t=t, n=n, published_point_ratio=ratio,
                         published_poly_prob=poly, exact_prob=exact,
                         empirical_rate=rate, empirical_stderr=stderr,

@@ -13,6 +13,16 @@ classical only splits. message_decoder runs the pipeline backwards with
 the inverse masks, so the maps are exact inverses. Each map computes
 one power per exponent, so a message's masks cost one power under a
 single key and two under a parity key, whatever its segment count.
+
+alpha is fixed within a field, so every power comes from a fixed-base
+window table (Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92), not
+from the builtin pow: row i holds alpha^(d * 16^i) for d in 0..15, and
+alpha^e is one multiply mod p per nonzero 4-bit digit of e, about 240 at
+1024 bits where pow squares 1,024 times. e is first reduced mod p - 1,
+which is exact because alpha has order p - 1 in every certified field.
+A field's table is built at its first mask power, never at import or
+load, and is shared by every PrimeField of the same (p, alpha), so a
+vault loaded from bytes reuses the table lock built.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ import enum
 import random
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import framing
 from ._wire import check_end, pack_lpint, read_header, take, unpack_lpint
@@ -49,6 +60,12 @@ _CODE_SIZES = (1, 2, 0)
 
 _SEGMENT_MASKED = (Scheme.PER_SEGMENT, Scheme.PARITY)
 
+# bits of exponent per row of a field's power table
+_WINDOW_BITS = 4
+# distinct (p, alpha) pairs whose power table is kept per process; a
+# 1024-bit table takes about 0.6 MB, a MAX_P_BITS one about 9 MB
+_TABLE_FIELDS = 4
+
 
 def _exponent_ranges(params: PrimeField, size: int) -> list[range]:
     """The range gen_key draws each exponent of a size-exponent key from:
@@ -66,13 +83,44 @@ def gen_key(params: PrimeField, scheme: Scheme, seed: int) -> tuple[int, ...]:
                  for r in _exponent_ranges(params, _KEY_SIZE[Scheme(scheme)]))
 
 
+@lru_cache(maxsize=_TABLE_FIELDS)
+def _power_table(p: int, alpha: int) -> tuple[tuple[int, ...], ...]:
+    """Row i holds alpha^(d * 2^(_WINDOW_BITS * i)) mod p for each digit d,
+    one row per digit of a p_bits-wide exponent. Keyed on the exact pair,
+    because every vault load builds a new PrimeField."""
+    rows, base = [], alpha
+    for _ in range(-(-p.bit_length() // _WINDOW_BITS)):
+        row = [1]
+        for _ in range((1 << _WINDOW_BITS) - 1):
+            row.append(row[-1] * base % p)
+        rows.append(tuple(row))
+        base = row[-1] * base % p
+    return tuple(rows)
+
+
+def _alpha_power(params: PrimeField, e: int) -> int:
+    """alpha^e mod p, equal to pow(alpha, e, p) for every e >= 0: e mod
+    p - 1 gives the same power, because alpha has order p - 1, and it
+    fits the table's rows, because p - 1 < 2^p_bits."""
+    p, mask = params.p, (1 << _WINDOW_BITS) - 1
+    e %= p - 1
+    acc = 1
+    for row in _power_table(p, params.alpha):
+        if not e:
+            break
+        if e & mask:
+            acc = acc * row[e & mask] % p
+        e >>= _WINDOW_BITS
+    return acc
+
+
 def _masks(params: PrimeField, exponents: tuple[int, ...], count: int) -> list[int]:
     """The multiplier alpha^e of each 1-based segment index 1..count, where
     e is the index's exponent; message_decoder passes each e as p - 1 - e
-    for the inverse masks. One power per distinct exponent."""
-    p = params.p
+    for the inverse masks. One table power per distinct exponent, never
+    the builtin pow."""
     used = [exponents[i % len(exponents)] for i in range(1, count + 1)]
-    powers = {e: pow(params.alpha, e, p) for e in set(used)}
+    powers = {e: _alpha_power(params, e) for e in set(used)}
     return [powers[e] for e in used]
 
 

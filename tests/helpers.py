@@ -9,6 +9,14 @@ from dlfvault._wire import pack_lpint
 # 65,535 bytes, the widest integer a DLFK length prefix carries; even
 WIDE_EXPONENT = 1 << 8 * 0xFFFF - 1
 
+# the 1024-bit MODP prime of RFC 2409 (Oakley group 2), a safe prime whose
+# smallest primitive root is 5
+OAKLEY_1024 = int(
+    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
+    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
+    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
+    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381FFFFFFFFFFFFFFFF", 16)
+
 
 def spaced_set(rng, p, count, delta, jitter=64):
     """count ascending elements with pairwise gaps above 2*delta, kept at
@@ -54,8 +62,9 @@ def vault_file(p, alpha, points):
 
 
 def no_pow(*args):
-    """Stand-in for the builtin pow in a module under test, to show that a
-    rejection computes no modular exponentiation."""
+    """Stand-in for the builtin pow, or for the codec's table power or its
+    table builder, in a module under test, to show that a rejection
+    computes no modular exponentiation."""
     raise AssertionError("modular exponentiation computed")
 
 

@@ -143,6 +143,14 @@ def test_attack_report_fields_and_notes():
 
     quiet = attack_report(5, 0, 0, trials=100, seed=1)
     assert quiet.notes == []
+
+    # no success is reported with the rule-of-three bound, not as 0 +- 0
+    rare = attack_report(50, 10, 8, trials=10000, seed=1)
+    assert rare.empirical_rate == 0.0 and rare.empirical_stderr == 0.0
+    assert ("empirical rate 0 is no success in 10000 trials; 95% upper bound 0.0003 "
+            "(rule of three)") in rare.notes
+    assert "note=empirical rate 0 is no success in 10000 trials" in rare.to_text()
+    assert rare.to_csv_row().endswith(f",{rare.exact_prob},0.0,0.0,10000")
     with pytest.raises(BadArguments):
         attack_report(10, 10, 3, trials=100, seed=1)
 

@@ -18,6 +18,7 @@ from dlfvault.field import PrimeField
 from dlfvault.framing import frame, segment
 from dlfvault.vault import lock, unlock
 from helpers import (
+    OAKLEY_1024,
     PowCounter,
     feasible_whole_message_lengths,
     spaced_set,
@@ -173,15 +174,37 @@ def test_whole_unmask_rejects_short_frame_length(params256):
 def test_lock_and_unlock_compute_one_power_per_exponent(params256, monkeypatch, scheme,
                                                         powers, message):
     A = spaced_set(random.Random(40), params256.p, 32, delta=0)
-    counter = PowCounter()
-    monkeypatch.setattr(field_module, "pow", counter, raising=False)
-    monkeypatch.setattr(dlog_codec, "pow", counter, raising=False)
+    table_powers = []
+    table_power = dlog_codec._alpha_power
+
+    def counting(params, e):
+        table_powers.append(e)
+        return table_power(params, e)
+
+    monkeypatch.setattr(dlog_codec, "_alpha_power", counting)
+    builtin = PowCounter()
+    monkeypatch.setattr(field_module, "pow", builtin, raising=False)
+    monkeypatch.setattr(dlog_codec, "pow", builtin, raising=False)
     vault, key_file = lock(message, A, scheme, params256, chaff_count=6, seed=41, seg_bits=32)
     assert scheme is Scheme.WHOLE_MESSAGE or vault.coeff_count >= 7
-    assert counter.powers == powers
-    counter.powers = 0
+    assert len(table_powers) == powers
+    table_powers.clear()
     assert unlock(vault, A, key_file) == message
-    assert counter.powers == powers
+    assert len(table_powers) == powers
+    # every mask came from the table; the builtin pow computed none
+    assert builtin.powers == 0
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_table_power_equals_the_builtin_pow(bits, params64, params256):
+    f = {64: params64, 256: params256, 1024: PrimeField(OAKLEY_1024, 5)}[bits]
+    p = f.p
+    rng = random.Random(bits)
+    all_fifteen = (1 << 4 * -(-f.p_bits // 4)) - 1
+    exponents = [0, 1, 2, p - 2, p - 1, p, 3 * (p - 1) + 5, all_fifteen]
+    exponents += [rng.randrange(4 * p) for _ in range(100)]
+    for e in exponents:
+        assert dlog_codec._alpha_power(f, e) == pow(f.alpha, e, p), e
 
 
 def test_key_file_roundtrip_all_kinds(params64):

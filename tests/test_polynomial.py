@@ -7,15 +7,7 @@ from dlfvault import field as field_module, polynomial
 from dlfvault.errors import DuplicateX, WrongCount, ZeroInverse
 from dlfvault.field import PrimeField, binary_field
 from dlfvault.polynomial import crc16_remainder, eval_poly, lagrange_interpolate, rs_decode
-from helpers import PowCounter
-
-# the 1024-bit MODP prime of RFC 2409 (Oakley group 2), a safe prime whose
-# smallest primitive root is 5
-OAKLEY_1024 = int(
-    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
-    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
-    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
-    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381FFFFFFFFFFFFFFFF", 16)
+from helpers import OAKLEY_1024, PowCounter
 
 
 def method_field(field):

@@ -20,7 +20,7 @@ from dlfvault.errors import (
     MalformedFile,
     NotEnoughMatches,
 )
-from dlfvault.field import params_to_file
+from dlfvault.field import gen_params, params_to_file
 from dlfvault.framing import frame, segment
 from dlfvault.polynomial import eval_poly
 from dlfvault.vault import (
@@ -445,6 +445,8 @@ def test_key_exponents_gen_key_never_draws_are_rejected_before_any_power(params2
 
     monkeypatch.setattr(field_module, "pow", no_pow, raising=False)
     monkeypatch.setattr(dlog_codec, "pow", no_pow, raising=False)
+    monkeypatch.setattr(dlog_codec, "_alpha_power", no_pow)
+    monkeypatch.setattr(dlog_codec, "_power_table", no_pow)
     for bad in keys_gen_key_never_draws(key_file, params256.p):
         with pytest.raises(MalformedFile, match="exponent"):
             unlock(vault, A, bad)
@@ -470,6 +472,32 @@ def test_a_loaded_field_is_proven_once(params256, monkeypatch):
     for _ in range(5):
         assert Vault.from_bytes(blob) == vault
     assert full_strength == [(params256.p - 1) // 2]
+
+
+def test_a_loaded_field_reuses_its_power_table(params256):
+    rng = random.Random(61)
+    dlog_codec._power_table.cache_clear()
+    locked = []
+    for scheme in (Scheme.PER_SEGMENT, Scheme.PARITY):
+        A = spaced_set(rng, params256.p, 12, delta=0)
+        vault, key_file = lock(b"table", A, scheme, params256, chaff_count=5,
+                               seed=22, seg_bits=32)
+        locked.append((A, vault.to_bytes(), key_file.to_bytes()))
+
+    def unlock_loaded(A, vault_bytes, key_bytes):
+        return unlock(Vault.from_bytes(vault_bytes), A, KeyFile.from_bytes(key_bytes))
+
+    for _ in range(5):
+        for entry in locked:
+            assert unlock_loaded(*entry) == b"table"
+    assert dlog_codec._power_table.cache_info().misses == 1
+
+    # the cache keeps the tables of the last _TABLE_FIELDS fields only
+    for seed in range(dlog_codec._TABLE_FIELDS):
+        dlog_codec._alpha_power(gen_params(32, seed), 1)
+    assert dlog_codec._power_table.cache_info().currsize == dlog_codec._TABLE_FIELDS
+    assert unlock_loaded(*locked[0]) == b"table"
+    assert dlog_codec._power_table.cache_info().misses == 2 + dlog_codec._TABLE_FIELDS
 
 
 def test_whole_message_chunk_count(params256):
