@@ -89,14 +89,15 @@ def _read_set(path: str) -> list[int]:
     return values
 
 
-def _fresh_seed() -> int:
-    return secrets.randbits(63)
+def _seed(args) -> int:
+    """--seed, else a fresh one from the OS: the only place a seed is chosen."""
+    return args.seed if args.seed is not None else secrets.randbits(63)
 
 
 def _cmd_params(args) -> int:
     if args.bits < 8:
         raise ValueError("--bits must be at least 8")
-    seed = args.seed if args.seed is not None else _fresh_seed()
+    seed = _seed(args)
     field = gen_params(args.bits, seed)
     print(f"seed={seed}")
     Path(args.out).write_bytes(params_to_file(field))
@@ -108,7 +109,7 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_lock(args) -> int:
-    seed = args.seed if args.seed is not None else _fresh_seed()
+    seed = _seed(args)
     print(f"seed={seed}")
     params = params_from_file(Path(args.params).read_bytes())
     message = Path(args.message).read_bytes()
@@ -172,7 +173,7 @@ def _cmd_attack(args) -> int:
 
     if not (args.r and args.t and args.n):
         raise ValueError("synthetic mode needs --r, --t and --n")
-    seed = args.seed if args.seed is not None else _fresh_seed()
+    seed = _seed(args)
     print(f"seed={seed}")
     reports = []
     for r in args.r:

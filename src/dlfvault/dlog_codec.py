@@ -106,8 +106,6 @@ def _alpha_power(params: PrimeField, e: int) -> int:
     e %= p - 1
     acc = 1
     for row in _power_table(p, params.alpha):
-        if not e:
-            break
         if e & mask:
             acc = acc * row[e & mask] % p
         e >>= _WINDOW_BITS

@@ -186,7 +186,7 @@ class PrimeField:
         return pack_lpint(self.p) + pack_lpint(self.alpha)
 
     @classmethod
-    def read_from(cls, data: bytes, offset: int = 0) -> tuple["PrimeField", int]:
+    def read_from(cls, data: bytes, offset: int) -> tuple["PrimeField", int]:
         p, offset = unpack_lpint(data, offset)
         alpha, offset = unpack_lpint(data, offset)
         if not _is_safe_field(p, alpha):

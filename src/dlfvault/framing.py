@@ -35,7 +35,7 @@ def _seg_bytes(seg_bits: int) -> int:
     return seg_bits // 8
 
 
-def frame(m: bytes, seg_bits: int = DEFAULT_SEG_BITS) -> bytes:
+def frame(m: bytes, seg_bits: int) -> bytes:
     """Wrap message bytes in the header/digest layout, padded to the segment width."""
     seg = _seg_bytes(seg_bits)
     body = struct.pack(">Q", len(m)) + m + md5(m)
@@ -61,7 +61,7 @@ def deframe(framed: bytes) -> bytes:
     return m
 
 
-def segment(framed: bytes, seg_bits: int = DEFAULT_SEG_BITS) -> list[int]:
+def segment(framed: bytes, seg_bits: int) -> list[int]:
     """Split framed bytes into big-endian integers of seg_bits each."""
     seg = _seg_bytes(seg_bits)
     if not framed or len(framed) % seg:
@@ -69,7 +69,7 @@ def segment(framed: bytes, seg_bits: int = DEFAULT_SEG_BITS) -> list[int]:
     return [int.from_bytes(framed[i:i + seg], "big") for i in range(0, len(framed), seg)]
 
 
-def reassemble(segments: list[int], seg_bits: int = DEFAULT_SEG_BITS) -> bytes:
+def reassemble(segments: list[int], seg_bits: int) -> bytes:
     """Inverse of segment(); rejects values that overflow the segment width."""
     seg = _seg_bytes(seg_bits)
     limit = 1 << seg_bits

@@ -44,24 +44,24 @@ _REDUCTION_BYTES = GF16_REDUCTION_POLY.to_bytes(4, "big")
 
 @dataclass(frozen=True)
 class IdentityRecord:
-    """One kappa/id pair; encode_identity derives the checksum."""
+    """One kappa/id pair, kappa below 2^128 and id below 2^64; encode_identity adds the crc."""
 
     kappa128: int
     id64: int
 
+    def __post_init__(self):
+        if not 0 <= self.kappa128 < 1 << KAPPA_BITS:
+            raise ValueError("kappa must fit in 128 bits")
+        if not 0 <= self.id64 < 1 << ID_BITS:
+            raise ValueError("id must fit in 64 bits")
 
-def make_identity_record(kappa128: int, id64: int) -> IdentityRecord:
-    """The pair, once kappa fits in 128 bits and id in 64."""
-    if not 0 <= kappa128 < 1 << KAPPA_BITS:
-        raise ValueError("kappa must fit in 128 bits")
-    if not 0 <= id64 < 1 << ID_BITS:
-        raise ValueError("id must fit in 64 bits")
-    return IdentityRecord(kappa128=kappa128, id64=id64)
+
+make_identity_record = IdentityRecord
 
 
 def encode_identity(kappa128: int, id64: int) -> list[int]:
     """The 13 coefficients carrying kappa || id || crc; coeffs[i] is c_i."""
-    make_identity_record(kappa128, id64)  # the range checks
+    IdentityRecord(kappa128, id64)  # the range checks
     crc = crc16_remainder(id64, ID_BITS, CRC16_GENERATOR)
     record = (kappa128 << ID_BITS | id64) << CRC_BITS | crc
     return [(record >> (16 * i)) & 0xFFFF for i in range(COEFF_COUNT)]
@@ -111,10 +111,8 @@ def identity_from_bytes(data: bytes) -> tuple[list[int], int]:
     if raw != _REDUCTION_BYTES:
         raise MalformedFile(f"reduction polynomial {int.from_bytes(raw, 'big'):#x} "
                             f"is not GF(2^16)'s {GF16_REDUCTION_POLY:#x}")
-    coeffs = []
-    for _ in range(COEFF_COUNT):
-        raw, offset = take(data, offset, 2)
-        coeffs.append(int.from_bytes(raw, "big"))
+    raw, offset = take(data, offset, 2 * COEFF_COUNT)
+    coeffs = [int.from_bytes(raw[i:i + 2], "big") for i in range(0, len(raw), 2)]
     check_end(data, offset, "coefficients")
     return coeffs, GF16_REDUCTION_POLY
 

@@ -174,12 +174,13 @@ def place_points(field, coeffs, locking_set, chaff_count, delta, seed):
 
 
 def lock(message: bytes, locking_set, scheme: Scheme, params: PrimeField,
-         chaff_count: int = 0, delta: int = 0, seed: int = 0,
+         chaff_count: int = 0, delta: int = 0, *, seed: int,
          seg_bits: int = framing.DEFAULT_SEG_BITS) -> tuple[Vault, KeyFile]:
     """Lock message bytes under the locking set: encode_message maps them
     to the scheme's coefficients, and place_points places those. Each
-    checks its own inputs, the codec first. All randomness flows from
-    seed. Returns the vault and the key file that unlocking will need.
+    checks its own inputs, the codec first. Key and chaff flow from seed,
+    which has no default: each message needs a fresh seed for a fresh key.
+    Returns the vault and the key file that unlocking will need.
     """
     coeffs, key_file = encode_message(params, scheme, message, seg_bits, _subseed(seed, "key"))
     points, mask = place_points(params, coeffs, locking_set, chaff_count, delta, seed)

@@ -97,6 +97,33 @@ def test_lock_deterministic_files(tmp_path, field16):
     assert blobs[0] == blobs[1]
 
 
+def test_lock_without_a_seed_draws_a_fresh_one(tmp_path, capsys, field16):
+    params_path, field = field16
+    capsys.readouterr()  # the fixture's own params output
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(b"fresh")
+    A = spaced_set(random.Random(905), field.p, 32, delta=0, jitter=10)
+    write_set(tmp_path / "set.txt", A)
+
+    def run(tag, *seed_args):
+        vp, kp = tmp_path / f"v{tag}.dlfv", tmp_path / f"k{tag}.dlfk"
+        # a parity key holds two exponents, so two fresh keys coincide with
+        # probability about 1/p^2 (2^-30) even in this 16-bit field
+        rc = cli.main(["lock", "--scheme", "parity", "--params", str(params_path),
+                       "--message", str(msg), "--set", str(tmp_path / "set.txt"),
+                       "--chaff", "12", "--seg-bits", "8", *seed_args,
+                       "--vault-out", str(vp), "--key-out", str(kp)])
+        assert rc == 0
+        (seed_line,) = [line for line in capsys.readouterr().out.splitlines()
+                        if line.startswith("seed=")]
+        return seed_line, vp.read_bytes(), kp.read_bytes()
+
+    first, second = run("a"), run("b")
+    assert first[0] != second[0]
+    assert first[2] != second[2]
+    assert run("c", "--seed", first[0].removeprefix("seed=")) == first
+
+
 def test_unlock_classical_without_key(tmp_path, field16):
     params_path, field = field16
     rng = random.Random(905)

@@ -82,3 +82,20 @@ def test_package_defines_no_unreferenced_names():
                              if name not in referenced
                              and not (name.startswith("__") and name.endswith("__"))]
     assert unreferenced == []
+
+
+def test_no_seed_parameter_has_a_default():
+    # a defaulted seed hands every caller who omits it the same "random" draw
+    defaulted = []
+    for path, tree in _parsed("src/dlfvault"):
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults):] + [
+                arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+            if any(arg.arg == "seed" for arg in with_default):
+                defaulted.append(f"{path.name}: {node.name}")
+    assert defaulted == []

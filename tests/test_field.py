@@ -215,7 +215,7 @@ def test_prime_field_is_a_frozen_record():
 
 def test_params_block_roundtrip(params64):
     blob = params64.to_bytes()
-    back, offset = PrimeField.read_from(blob)
+    back, offset = PrimeField.read_from(blob, 0)
     assert offset == len(blob)
     assert back == params64
 

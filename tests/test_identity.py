@@ -16,6 +16,7 @@ from dlfvault.identity import (
     ID_BITS,
     IDC_BITS,
     KAPPA_BITS,
+    IdentityRecord,
     decode_identity,
     encode_identity,
     identity_from_bytes,
@@ -67,6 +68,15 @@ def test_encode_validates_ranges():
         encode_identity(0, 1 << ID_BITS)
     with pytest.raises(ValueError):
         encode_identity(-1, 0)
+
+
+def test_identity_record_checks_its_own_ranges():
+    assert make_identity_record is IdentityRecord
+    with pytest.raises(ValueError, match="^kappa must fit in 128 bits$"):
+        IdentityRecord(1 << KAPPA_BITS, 0)
+    with pytest.raises(ValueError, match="^id must fit in 64 bits$"):
+        IdentityRecord(0, -1)
+    IdentityRecord((1 << KAPPA_BITS) - 1, (1 << ID_BITS) - 1)
 
 
 def test_decode_validates_shape():

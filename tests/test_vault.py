@@ -193,38 +193,45 @@ def test_nearest_points_window_edges():
 def test_locking_set_too_small(params64):
     msg = b"m" * 20  # framed to 44 bytes -> 22 segments
     with pytest.raises(LockingSetTooSmall):
-        lock(msg, list(range(0, 210, 10)), Scheme.CLASSICAL, params64, seg_bits=16)
+        lock(msg, list(range(0, 210, 10)), Scheme.CLASSICAL, params64, seed=0, seg_bits=16)
 
 
 def test_invalid_locking_sets(params64):
     with pytest.raises(InvalidLockingSet):
         lock(b"", [5, 5] + list(range(100, 3100, 100)), Scheme.CLASSICAL,
-             params64, seg_bits=16)
+             params64, seed=0, seg_bits=16)
     with pytest.raises(InvalidLockingSet):
         lock(b"", [-1] + list(range(100, 3200, 100)), Scheme.CLASSICAL,
-             params64, seg_bits=16)
+             params64, seed=0, seg_bits=16)
     with pytest.raises(InvalidLockingSet):
         lock(b"", [params64.p] + list(range(100, 3200, 100)), Scheme.CLASSICAL,
-             params64, seg_bits=16)
+             params64, seed=0, seg_bits=16)
     with pytest.raises(InvalidLockingSet):
         lock(b"", [1.5] + list(range(100, 3200, 100)), Scheme.CLASSICAL,
-             params64, seg_bits=16)
+             params64, seed=0, seg_bits=16)
     with pytest.raises(InvalidLockingSet):
         # gap of exactly 2*delta is one short
         lock(b"", [100, 104] + list(range(200, 2400, 100)), Scheme.CLASSICAL,
-             params64, delta=2, seg_bits=16)
+             params64, delta=2, seed=0, seg_bits=16)
 
 
 def test_lock_argument_validation(params64):
     A = list(range(100, 2500, 100))
     with pytest.raises(BadLength):
-        lock(b"", A, Scheme.CLASSICAL, params64, seg_bits=64)  # 64 > 63
+        lock(b"", A, Scheme.CLASSICAL, params64, seed=0, seg_bits=64)  # 64 > 63
     with pytest.raises(BadLength):
-        lock(b"", A, Scheme.CLASSICAL, params64, seg_bits=12)
+        lock(b"", A, Scheme.CLASSICAL, params64, seed=0, seg_bits=12)
     with pytest.raises(ValueError):
-        lock(b"", A, Scheme.CLASSICAL, params64, chaff_count=-1, seg_bits=16)
+        lock(b"", A, Scheme.CLASSICAL, params64, chaff_count=-1, seed=0, seg_bits=16)
     with pytest.raises(ValueError):
-        lock(b"", A, Scheme.CLASSICAL, params64, delta=-1, seg_bits=16)
+        lock(b"", A, Scheme.CLASSICAL, params64, delta=-1, seed=0, seg_bits=16)
+
+
+def test_lock_without_a_seed_is_a_type_error(params64):
+    with pytest.raises(TypeError):
+        lock(b"", list(range(100, 2500, 100)), Scheme.CLASSICAL, params64, seg_bits=16)
+    with pytest.raises(TypeError):
+        lock(b"", list(range(100, 2500, 100)), Scheme.CLASSICAL, params64, 0, 0, 0, 16)
 
 
 def test_chaff_space_exhausted():
