@@ -27,7 +27,6 @@ from .errors import (
     BadLength,
     ChaffSpaceExhausted,
     DecodeFailed,
-    DuplicateX,
     FuzzyVaultError,
     InvalidLockingSet,
     KeyKindMismatch,
@@ -54,7 +53,6 @@ from .field import (
 )
 from .framing import deframe, frame, md5, reassemble, segment
 from .identity import (
-    CRC16_GENERATOR,
     IdentityRecord,
     decode_identity,
     encode_identity,
@@ -63,7 +61,7 @@ from .identity import (
     identity_vault_roundtrip,
     make_identity_record,
 )
-from .polynomial import crc16_remainder, eval_poly, lagrange_interpolate
+from .polynomial import CRC16_GENERATOR, crc16_remainder, eval_poly, lagrange_interpolate
 from .vault import (
     DEFAULT_MAX_SUBSETS,
     Scheme,

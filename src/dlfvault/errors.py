@@ -21,10 +21,6 @@ class BadFactorization(FuzzyVaultError):
 
 # polynomial layer
 
-class DuplicateX(FuzzyVaultError):
-    pass
-
-
 class WrongCount(FuzzyVaultError):
     pass
 

@@ -6,7 +6,7 @@ Layout of the 208-bit record, most significant first:
     kappa (128) | id (64) | crc (16)
 
 where crc is the CRC-16 of the id alone and the decoder checks that the
-80-bit id-plus-crc tail divides cleanly by the generator. Chunked into
+80-bit id-plus-crc tail divides cleanly by CRC16_GENERATOR. Chunked into
 16-bit words, the most significant word becomes coefficient c_12 and the
 least significant (the crc itself) becomes c_0. Any corruption of the
 tail region is caught by the division check; corruption confined to the
@@ -28,9 +28,6 @@ from .errors import MalformedFile, SignatureMismatch, WrongCount
 from .field import GF16_REDUCTION_POLY, binary_field
 from .polynomial import crc16_remainder
 from .vault import DEFAULT_MAX_SUBSETS, nearest_points, place_points, subset_search
-
-# X^16 + X^15 + X^2 + 1
-CRC16_GENERATOR = 0x18005
 
 COEFF_COUNT = 13
 KAPPA_BITS = 128
@@ -62,7 +59,7 @@ make_identity_record = IdentityRecord
 def encode_identity(kappa128: int, id64: int) -> list[int]:
     """The 13 coefficients carrying kappa || id || crc; coeffs[i] is c_i."""
     IdentityRecord(kappa128, id64)  # the range checks
-    crc = crc16_remainder(id64, ID_BITS, CRC16_GENERATOR)
+    crc = crc16_remainder(id64, ID_BITS)
     record = (kappa128 << ID_BITS | id64) << CRC_BITS | crc
     return [(record >> (16 * i)) & 0xFFFF for i in range(COEFF_COUNT)]
 
@@ -86,7 +83,7 @@ def decode_identity(coeffs: list[int]) -> tuple[int, int] | None:
     for i, c in enumerate(coeffs):
         record |= c << (16 * i)
     idc = record & ((1 << IDC_BITS) - 1)
-    if crc16_remainder(idc, IDC_BITS, CRC16_GENERATOR) != 0:
+    if crc16_remainder(idc, IDC_BITS) != 0:
         return None
     return record >> IDC_BITS, idc >> CRC_BITS
 

@@ -16,8 +16,11 @@ from __future__ import annotations
 
 from operator import mul
 
-from .errors import DuplicateX, WrongCount, ZeroInverse
+from .errors import ZeroInverse
 from .field import PrimeField
+
+# the identity binding's CRC-16: X^16 + X^15 + X^2 + 1
+CRC16_GENERATOR = 0x18005
 
 
 def eval_poly(field, coeffs: list[int], x: int) -> int:
@@ -33,25 +36,21 @@ def eval_poly(field, coeffs: list[int], x: int) -> int:
     return acc
 
 
-def lagrange_interpolate(field, points: list[tuple[int, int]], coeff_count: int) -> list[int]:
-    """The unique coefficient list of length coeff_count through the points.
+def lagrange_interpolate(field, points: list[tuple[int, int]]) -> list[int]:
+    """The unique coefficient list of length len(points) through the points.
 
-    Exactly coeff_count points with pairwise distinct x are required, and
-    x values equal in the field raise ZeroInverse. Runs in O(coeff_count^2):
-    one master product over all x, then a synthetic division and a scaled
-    accumulation per point. Over a PrimeField the arithmetic is on plain
-    ints with one modular inverse for all the denominators; other fields
-    use their methods and one inverse per point.
+    x values equal in the field raise ZeroInverse. Runs in O(n^2) for n
+    points: one master product over all x, then a synthetic division and
+    a scaled accumulation per point. Over a PrimeField the arithmetic is
+    on plain ints with one modular inverse for all the denominators; other
+    fields use their methods and one inverse per point, where an equal x
+    makes that point's denominator 0.
     """
-    if len(points) != coeff_count:
-        raise WrongCount(f"need exactly {coeff_count} points, got {len(points)}")
     xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise DuplicateX("interpolation points share an x coordinate")
     if isinstance(field, PrimeField):
         return _interpolate_mod_p(field, points, _product_mod_p(field.p, xs))
 
-    n = coeff_count
+    n = len(points)
     # master(X) = prod_j (X - x_j), length n + 1
     master = [0] * (n + 1)
     master[0] = 1
@@ -89,8 +88,8 @@ def _product_mod_p(p: int, xs: list[int]) -> list[int]:
 
 def _interpolate_mod_p(field: PrimeField, points: list[tuple[int, int]],
                        master: list[int]) -> list[int]:
-    """lagrange_interpolate on plain ints mod p, once its checks passed;
-    master is _product_mod_p of the points' x values."""
+    """lagrange_interpolate on plain ints mod p; master is _product_mod_p
+    of the points' x values."""
     p = field.p
     n = len(points)
     quotients, denoms = [], []
@@ -197,19 +196,17 @@ def _sub_mul_mod_p(a: list[int], b: list[int], c: list[int], p: int) -> list[int
     return _trim([v % p for v in out])
 
 
-def crc16_remainder(value: int, bit_len: int, generator: int) -> int:
-    """Remainder of value * X^16 modulo the generator polynomial over GF(2).
+def crc16_remainder(value: int, bit_len: int) -> int:
+    """Remainder of value * X^16 modulo CRC16_GENERATOR over GF(2).
 
     MSB-first long division with zero initial register; value is treated
     as a bit_len-bit string. A message with its remainder appended
-    divides cleanly, which is the check the decoder relies on.
+    divides cleanly, which is the check the identity decoder relies on.
     """
-    if generator.bit_length() != 17:
-        raise ValueError("generator must have degree exactly 16")
     if bit_len < 0 or value < 0 or value.bit_length() > bit_len:
         raise ValueError(f"value does not fit in {bit_len} bits")
     acc = value << 16
     for i in range(bit_len + 15, 15, -1):
         if acc >> i & 1:
-            acc ^= generator << (i - 16)
+            acc ^= CRC16_GENERATOR << (i - 16)
     return acc

@@ -257,7 +257,7 @@ def subset_search(field, candidates, coeff_count, decode, max_subsets):
     tried = 0
     for tried, subset in zip(range(1, max_subsets + 1),
                              itertools.combinations(candidates, coeff_count)):
-        coeffs = lagrange_interpolate(field, list(subset), coeff_count)
+        coeffs = lagrange_interpolate(field, subset)
         try:
             return decode(coeffs), tried
         except _REJECTED:
@@ -272,10 +272,12 @@ def unlock(vault: Vault, unlocking_set, key_file: KeyFile | None = None,
     Probes are matched against vault points within delta. One
     Reed-Solomon decoder pass over the m matches opens the vault when at
     most floor((m - n) / 2) of them are chaff, n being the coefficient
-    count. When it finds no polynomial, or the framed digest rejects it,
-    subset_search tries at most max_subsets subsets of the matches; the
-    decoder pass is not counted against max_subsets. key_file may be
-    omitted for classical vaults only.
+    count. When the digest rejects a polynomial through every match, no
+    subset can do better, and DecodeFailed is raised at once. When the
+    pass finds no polynomial, or the digest rejects one that misses some
+    match, subset_search tries at most max_subsets subsets of the
+    matches; the decoder pass is not counted against max_subsets.
+    key_file may be omitted for classical vaults only.
     """
     decode = message_decoder(vault, key_file or KeyFile())
     candidates = match_points(vault, unlocking_set)
@@ -285,7 +287,9 @@ def unlock(vault: Vault, unlocking_set, key_file: KeyFile | None = None,
         try:
             return decode(coeffs)
         except _REJECTED:
-            pass
+            # every subset of matches on coeffs would interpolate coeffs again
+            if all(eval_poly(vault.params, coeffs, x) == y for x, y in candidates):
+                raise DecodeFailed("the digest rejects the polynomial through every match") from None
     message, tried = subset_search(vault.params, candidates, vault.coeff_count, decode,
                                    max_subsets)
     if message is None:

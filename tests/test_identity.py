@@ -11,7 +11,6 @@ from dlfvault.errors import (
 from dlfvault.field import GF16_REDUCTION_POLY, binary_field
 from dlfvault.identity import (
     COEFF_COUNT,
-    CRC16_GENERATOR,
     CRC_BITS,
     ID_BITS,
     IDC_BITS,
@@ -24,7 +23,7 @@ from dlfvault.identity import (
     identity_vault_roundtrip,
     make_identity_record,
 )
-from dlfvault.polynomial import crc16_remainder, eval_poly, lagrange_interpolate
+from dlfvault.polynomial import CRC16_GENERATOR, crc16_remainder, eval_poly, lagrange_interpolate
 
 
 def test_generator_constant():
@@ -40,7 +39,7 @@ def test_chunking_matches_independent_bit_packing():
     for _ in range(100):
         kappa = rng.randrange(1 << KAPPA_BITS)
         ident = rng.randrange(1 << ID_BITS)
-        crc = crc16_remainder(ident, ID_BITS, CRC16_GENERATOR)
+        crc = crc16_remainder(ident, ID_BITS)
         coeffs = encode_identity(kappa, ident)
         assert len(coeffs) == COEFF_COUNT
         # independent route: serialize kappa || id || crc to 26 bytes and
@@ -203,7 +202,7 @@ def test_corrupted_point_rejected_through_interpolation():
         victim = rng.randrange(COEFF_COUNT)
         x, y = points[victim]
         points[victim] = (x, y ^ rng.randrange(1, 1 << 16))
-        recovered = lagrange_interpolate(gf, points, COEFF_COUNT)
+        recovered = lagrange_interpolate(gf, points)
         if decode_identity(recovered) is None:
             rejected += 1
     assert rejected == 50

@@ -4,9 +4,15 @@ from types import SimpleNamespace
 import pytest
 
 from dlfvault import field as field_module, polynomial
-from dlfvault.errors import DuplicateX, WrongCount, ZeroInverse
+from dlfvault.errors import ZeroInverse
 from dlfvault.field import PrimeField, binary_field
-from dlfvault.polynomial import crc16_remainder, eval_poly, lagrange_interpolate, rs_decode
+from dlfvault.polynomial import (
+    CRC16_GENERATOR,
+    crc16_remainder,
+    eval_poly,
+    lagrange_interpolate,
+    rs_decode,
+)
 from helpers import OAKLEY_1024, PowCounter
 
 
@@ -32,7 +38,7 @@ def test_interpolate_worked_example():
     f = PrimeField(23, 5)
     coeffs = [3, 1, 4]
     points = [(x, eval_poly(f, coeffs, x)) for x in (0, 1, 2)]
-    assert lagrange_interpolate(f, points, 3) == coeffs
+    assert lagrange_interpolate(f, points) == coeffs
 
 
 def test_interpolate_roundtrip_prime_field(params64):
@@ -42,7 +48,7 @@ def test_interpolate_roundtrip_prime_field(params64):
         coeffs = [rng.randrange(params64.p) for _ in range(n)]
         xs = rng.sample(range(1, 10_000_000), n)
         points = [(x, eval_poly(params64, coeffs, x)) for x in xs]
-        assert lagrange_interpolate(params64, points, n) == coeffs
+        assert lagrange_interpolate(params64, points) == coeffs
 
 
 def test_interpolate_roundtrip_gf16():
@@ -53,7 +59,7 @@ def test_interpolate_roundtrip_gf16():
         coeffs = [rng.randrange(1 << 16) for _ in range(n)]
         xs = rng.sample(range(1 << 16), n)
         points = [(x, eval_poly(gf, coeffs, x)) for x in xs]
-        assert lagrange_interpolate(gf, points, n) == coeffs
+        assert lagrange_interpolate(gf, points) == coeffs
 
 
 def test_interpolate_predicts_fresh_evaluations(params64):
@@ -65,7 +71,7 @@ def test_interpolate_predicts_fresh_evaluations(params64):
         coeffs = [rng.randrange(params64.p) for _ in range(n)]
         xs = list({rng.randrange(params64.p) for _ in range(40)})[:n + 5]
         points = [(x, eval_poly(params64, coeffs, x)) for x in xs]
-        recovered = lagrange_interpolate(params64, points[:n], n)
+        recovered = lagrange_interpolate(params64, points[:n])
         for x, y in points[n:]:
             assert eval_poly(params64, recovered, x) == y
 
@@ -74,20 +80,18 @@ def test_interpolate_leading_zero_coeffs(params64):
     # length is the contract, not degree
     coeffs = [5, 0, 0]
     points = [(x, eval_poly(params64, coeffs, x)) for x in (1, 2, 3)]
-    assert lagrange_interpolate(params64, points, 3) == coeffs
-
-
-def test_interpolate_wrong_count(params64):
-    points = [(1, 1), (2, 2)]
-    with pytest.raises(WrongCount):
-        lagrange_interpolate(params64, points, 3)
-    with pytest.raises(WrongCount):
-        lagrange_interpolate(params64, points, 1)
+    assert lagrange_interpolate(params64, points) == coeffs
 
 
 def test_interpolate_duplicate_x(params64):
-    with pytest.raises(DuplicateX):
-        lagrange_interpolate(params64, [(1, 1), (1, 5), (2, 2)], 3)
+    with pytest.raises(ZeroInverse):
+        lagrange_interpolate(params64, [(1, 1), (1, 5), (2, 2)])
+
+
+def test_interpolate_duplicate_x_over_gf16_raise_zero_inverse():
+    # the master product is (X + 5)^2, so the quotient for x = 5 is 0 there
+    with pytest.raises(ZeroInverse):
+        lagrange_interpolate(binary_field(), [(5, 1), (5, 2)])
 
 
 def test_eval_is_linear_in_coefficients(params64):
@@ -122,10 +126,10 @@ def test_prime_field_kernels_equal_the_field_method_path(bits, params64, params2
         # x values distinct mod p, some lifted to p or above
         xs = [x + f.p * rng.randrange(3) for x in distinct_residues(rng, f.p, n)]
         points = [(x, rng.randrange(f.p)) for x in xs]
-        assert lagrange_interpolate(f, points, n) == lagrange_interpolate(reference, points, n)
+        assert lagrange_interpolate(f, points) == lagrange_interpolate(reference, points)
         on_poly = [(x, eval_poly(f, coeffs, x)) for x in xs]
         assert on_poly == [(x, eval_poly(reference, coeffs, x)) for x in xs]
-        assert lagrange_interpolate(f, on_poly, n) == coeffs
+        assert lagrange_interpolate(f, on_poly) == coeffs
 
 
 def test_prime_field_interpolation_computes_one_inverse(params256, monkeypatch):
@@ -137,7 +141,7 @@ def test_prime_field_interpolation_computes_one_inverse(params256, monkeypatch):
     for n in (1, 2, 12, 40):
         points = [(x, rng.randrange(params256.p)) for x in distinct_residues(rng, params256.p, n)]
         before = counter.inverses
-        lagrange_interpolate(params256, points, n)
+        lagrange_interpolate(params256, points)
         inverses.append(counter.inverses - before)
     assert inverses == [1, 1, 1, 1]
     assert counter.powers == 0
@@ -145,7 +149,7 @@ def test_prime_field_interpolation_computes_one_inverse(params256, monkeypatch):
 
 def test_interpolate_x_values_equal_mod_p_raise_zero_inverse():
     with pytest.raises(ZeroInverse):
-        lagrange_interpolate(PrimeField(23, 5), [(1, 1), (24, 2)], 2)
+        lagrange_interpolate(PrimeField(23, 5), [(1, 1), (24, 2)])
 
 
 def _with_errors(rng, p, points, positions):
@@ -166,7 +170,7 @@ def test_rs_decode_corrects_errors_up_to_the_radius(bits, params64, params256):
             coeffs = [rng.randrange(f.p) for _ in range(n)]
             points = [(x, eval_poly(f, coeffs, x)) for x in sorted(distinct_residues(rng, f.p, m))]
             radius = (m - n) // 2
-            assert rs_decode(f, points, n) == lagrange_interpolate(f, points[:n], n) == coeffs
+            assert rs_decode(f, points, n) == lagrange_interpolate(f, points[:n]) == coeffs
             if radius:
                 # radius errors past the first n sorted x values, then radius
                 # errors one of which is among them
@@ -201,9 +205,10 @@ def _gf2_mod(value, modulus):
 
 
 def test_crc_frozen_value():
-    assert crc16_remainder(1, 64, 0x18005) == 0x8005
-    assert crc16_remainder(0, 64, 0x18005) == 0
-    assert crc16_remainder(0, 0, 0x18005) == 0
+    assert CRC16_GENERATOR == 0x18005
+    assert crc16_remainder(1, 64) == 0x8005
+    assert crc16_remainder(0, 64) == 0
+    assert crc16_remainder(0, 0) == 0
 
 
 def test_crc_matches_long_division_oracle():
@@ -211,7 +216,7 @@ def test_crc_matches_long_division_oracle():
     for _ in range(300):
         bit_len = rng.randrange(1, 130)
         value = rng.randrange(1 << bit_len)
-        assert crc16_remainder(value, bit_len, 0x18005) == _gf2_mod(value << 16, 0x18005)
+        assert crc16_remainder(value, bit_len) == _gf2_mod(value << 16, 0x18005)
 
 
 def test_crc_self_check_is_zero():
@@ -219,8 +224,8 @@ def test_crc_self_check_is_zero():
     for _ in range(300):
         bit_len = rng.randrange(1, 100)
         value = rng.randrange(1 << bit_len)
-        rem = crc16_remainder(value, bit_len, 0x18005)
-        assert crc16_remainder(value << 16 | rem, bit_len + 16, 0x18005) == 0
+        rem = crc16_remainder(value, bit_len)
+        assert crc16_remainder(value << 16 | rem, bit_len + 16) == 0
 
 
 def test_crc_is_linear():
@@ -229,17 +234,13 @@ def test_crc_is_linear():
         bit_len = rng.randrange(1, 96)
         a = rng.randrange(1 << bit_len)
         b = rng.randrange(1 << bit_len)
-        ra = crc16_remainder(a, bit_len, 0x18005)
-        rb = crc16_remainder(b, bit_len, 0x18005)
-        assert crc16_remainder(a ^ b, bit_len, 0x18005) == ra ^ rb
+        ra = crc16_remainder(a, bit_len)
+        rb = crc16_remainder(b, bit_len)
+        assert crc16_remainder(a ^ b, bit_len) == ra ^ rb
 
 
 def test_crc_validates_arguments():
     with pytest.raises(ValueError):
-        crc16_remainder(1, 64, 0x8005)  # degree 15
+        crc16_remainder(256, 8)  # value wider than bit_len
     with pytest.raises(ValueError):
-        crc16_remainder(1, 64, 0x28005)  # degree 17
-    with pytest.raises(ValueError):
-        crc16_remainder(256, 8, 0x18005)  # value wider than bit_len
-    with pytest.raises(ValueError):
-        crc16_remainder(1, -1, 0x18005)
+        crc16_remainder(1, -1)

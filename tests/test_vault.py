@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from helpers import keys_gen_key_never_draws, no_pow, spaced_set, vault_file, with_framed_len
-from dlfvault import dlog_codec, field as field_module
+from dlfvault import dlog_codec, field as field_module, vault as vault_module
 from dlfvault.attacks import brute_force_unlock_attack
 from dlfvault.dlog_codec import KeyFile, gen_key, message_decoder
 from dlfvault.errors import (
@@ -22,7 +22,7 @@ from dlfvault.errors import (
 )
 from dlfvault.field import gen_params, params_to_file
 from dlfvault.framing import frame, segment
-from dlfvault.polynomial import eval_poly
+from dlfvault.polynomial import eval_poly, lagrange_interpolate
 from dlfvault.vault import (
     Scheme,
     Vault,
@@ -292,12 +292,35 @@ def test_max_subsets_cap(params64):
     msg = b"capped"
     n = len(frame(msg, 16)) // 2
     A = spaced_set(rng, params64.p, n + 4, delta=0)
-    vault, _ = lock(msg, A, Scheme.PER_SEGMENT, params64, chaff_count=0,
+    vault, _ = lock(msg, A, Scheme.PER_SEGMENT, params64, chaff_count=10,
                     seed=13, seg_bits=16)
+    chaff = [x for (x, _), genuine in zip(vault.points, vault.genuine_mask) if not genuine]
     wrong = KeyFile(gen_key(params64, Scheme.PER_SEGMENT, 1000))
+    # one chaff hit within the decoding radius: the decoded polynomial
+    # misses a match, so the subset walk runs
     with pytest.raises(DecodeFailed) as exc_info:
-        unlock(vault, A, wrong, max_subsets=5)
+        unlock(vault, A + chaff[:1], wrong, max_subsets=5)
     assert "5" in str(exc_info.value)
+
+
+def test_a_wrong_key_on_a_polynomial_through_every_match_walks_no_subset(monkeypatch):
+    # the README library quickstart, opened with the parity key of another lock
+    params = gen_params(256, seed=42)
+    A = [1000 * i + 17 for i in range(40)]
+    vault, _ = lock(b"attack at dawn", A, Scheme.PARITY, params,
+                    chaff_count=120, delta=3, seed=7, seg_bits=32)
+    _, other_key = lock(b"attack at dawn", A, Scheme.PARITY, params,
+                        chaff_count=120, delta=3, seed=8, seg_bits=32)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return lagrange_interpolate(*args)
+
+    monkeypatch.setattr(vault_module, "lagrange_interpolate", counting)
+    with pytest.raises(DecodeFailed):
+        unlock(vault, [a + 2 for a in A], other_key)
+    assert len(calls) == 0
 
 
 def test_not_enough_matches_when_b_small(params64):
