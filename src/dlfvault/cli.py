@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", default=None, help="key file; omit for classical vaults")
     p.add_argument("--max-subsets", type=int, default=DEFAULT_MAX_SUBSETS, dest="max_subsets",
                    help="subsets the fallback search may try when the one Reed-Solomon "
-                        "decoder pass fails; the decoder pass is not counted")
+                        "decoder pass finds no polynomial; that pass is not counted")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_unlock)
 

@@ -128,8 +128,8 @@ def identity_vault_roundtrip(record: IdentityRecord, locking_set, chaff_count: i
     The vault core places genuine points and chaff at delta = 0: matching
     is exact, since biometric-style noise does not apply to the 16-bit
     identity field. Subsets of the matches are searched until the
-    checksum accepts one. True only when that record carries the
-    original kappa and id.
+    checksum accepts one; fewer than 13 matches raise NotEnoughMatches.
+    True only when that record carries the original kappa and id.
     """
     gf = binary_field()
     coeffs = encode_identity(record.kappa128, record.id64)

@@ -1,7 +1,7 @@
 """Fuzzy vault core: points, search, file. Point placement, tolerance
 matching, subset search, lock/unlock and the DLFV format; dlog_codec
 maps messages to coefficients and back. Unlock decodes the matches as a
-Reed-Solomon codeword first and walks subsets only when that fails.
+Reed-Solomon codeword and walks subsets only when that finds nothing.
 
 A vault is r points over a field: F_p for the four schemes here,
 GF(2^16) for identity binding, which reuses place_points, nearest_points
@@ -44,8 +44,8 @@ from .errors import (
 from .field import PrimeField
 from .polynomial import eval_poly, lagrange_interpolate, rs_decode
 
-# subsets unlock's fallback search and the brute-force attack may try;
-# unlock's single Reed-Solomon decoder pass is not counted against it
+# subsets the brute-force attack may try, and unlock when its single
+# Reed-Solomon decoder pass finds no polynomial; that pass is not counted
 DEFAULT_MAX_SUBSETS = 100_000
 
 # what a decode callable raises to reject a candidate polynomial
@@ -270,14 +270,14 @@ def unlock(vault: Vault, unlocking_set, key_file: KeyFile | None = None,
     """Recover the message from a vault given an unlocking set and the key.
 
     Probes are matched against vault points within delta. One
-    Reed-Solomon decoder pass over the m matches opens the vault when at
-    most floor((m - n) / 2) of them are chaff, n being the coefficient
-    count. When the digest rejects a polynomial through every match, no
-    subset can do better, and DecodeFailed is raised at once. When the
-    pass finds no polynomial, or the digest rejects one that misses some
-    match, subset_search tries at most max_subsets subsets of the
-    matches; the decoder pass is not counted against max_subsets.
-    key_file may be omitted for classical vaults only.
+    Reed-Solomon decoder pass over the m matches finds the polynomial
+    when at most floor((m - n) / 2) of them are chaff, n being the
+    coefficient count. Within that radius the decoded polynomial is
+    final: the message it decodes to is returned, and a rejection raises
+    DecodeFailed. Only when the pass finds no polynomial does
+    subset_search try at most max_subsets subsets of the matches; the
+    decoder pass is not counted against max_subsets. key_file may be
+    omitted for classical vaults only.
     """
     decode = message_decoder(vault, key_file or KeyFile())
     candidates = match_points(vault, unlocking_set)
@@ -286,10 +286,8 @@ def unlock(vault: Vault, unlocking_set, key_file: KeyFile | None = None,
     if coeffs is not None:
         try:
             return decode(coeffs)
-        except _REJECTED:
-            # every subset of matches on coeffs would interpolate coeffs again
-            if all(eval_poly(vault.params, coeffs, x) == y for x, y in candidates):
-                raise DecodeFailed("the digest rejects the polynomial through every match") from None
+        except _REJECTED as exc:
+            raise DecodeFailed(f"the decoded polynomial is rejected: {exc}") from None
     message, tried = subset_search(vault.params, candidates, vault.coeff_count, decode,
                                    max_subsets)
     if message is None:

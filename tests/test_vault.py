@@ -296,31 +296,50 @@ def test_max_subsets_cap(params64):
                     seed=13, seg_bits=16)
     chaff = [x for (x, _), genuine in zip(vault.points, vault.genuine_mask) if not genuine]
     wrong = KeyFile(gen_key(params64, Scheme.PER_SEGMENT, 1000))
-    # one chaff hit within the decoding radius: the decoded polynomial
-    # misses a match, so the subset walk runs
+    # five chaff hits among n + 9 matches, one beyond the decoding radius
+    # of 4: the decoder finds no polynomial, so the subset walk runs
     with pytest.raises(DecodeFailed) as exc_info:
-        unlock(vault, A + chaff[:1], wrong, max_subsets=5)
-    assert "5" in str(exc_info.value)
+        unlock(vault, A + chaff[:5], wrong, max_subsets=5)
+    assert "no subset of 5 tried" in str(exc_info.value)
 
 
-def test_a_wrong_key_on_a_polynomial_through_every_match_walks_no_subset(monkeypatch):
-    # the README library quickstart, opened with the parity key of another lock
+@pytest.mark.parametrize("chaff_hits", [0, 1])
+def test_a_wrong_key_within_the_decoding_radius_walks_no_subset(monkeypatch, chaff_hits):
+    # the README library quickstart, opened with the parity key of another
+    # lock, by the 40 probes alone or with one chaff x added
     params = gen_params(256, seed=42)
     A = [1000 * i + 17 for i in range(40)]
     vault, _ = lock(b"attack at dawn", A, Scheme.PARITY, params,
                     chaff_count=120, delta=3, seed=7, seg_bits=32)
     _, other_key = lock(b"attack at dawn", A, Scheme.PARITY, params,
                         chaff_count=120, delta=3, seed=8, seg_bits=32)
-    calls = []
+    chaff = [x for (x, _), genuine in zip(vault.points, vault.genuine_mask) if not genuine]
 
-    def counting(*args):
-        calls.append(args)
-        return lagrange_interpolate(*args)
+    def no_subset(*args):
+        raise AssertionError("unlock interpolated a subset")
 
-    monkeypatch.setattr(vault_module, "lagrange_interpolate", counting)
+    monkeypatch.setattr(vault_module, "lagrange_interpolate", no_subset)
     with pytest.raises(DecodeFailed):
-        unlock(vault, [a + 2 for a in A], other_key)
-    assert len(calls) == 0
+        unlock(vault, [a + 2 for a in A] + chaff[:chaff_hits], other_key)
+
+
+def test_a_rejected_decoded_polynomial_is_final():
+    # a crafted vault: two added points lie on a second polynomial f that
+    # meets the locked one G on 12 of the 13 locking elements, so with
+    # all 15 probes f is within the decoding radius and G is not
+    params = gen_params(64, seed=1001)
+    A = [1000 * i + 17 for i in range(13)]
+    vault, key_file = lock(b"hi", A, Scheme.PER_SEGMENT, params, seed=3, seg_bits=16)
+    assert vault.coeff_count == 13
+    locked = lagrange_interpolate(params, vault.points)  # no chaff: the 13 genuine points
+    crafted = []
+    for x in (50_017, 60_017):
+        offset = 12345 * math.prod(x - a for a in A[:12])
+        crafted.append((x, (eval_poly(params, locked, x) + offset) % params.p))
+    vault = Vault.from_bytes(dataclasses.replace(vault, points=vault.points + crafted).to_bytes())
+    with pytest.raises(DecodeFailed, match="decoded polynomial is rejected"):
+        unlock(vault, A + [50_017, 60_017], key_file)
+    assert unlock(vault, A, key_file) == b"hi"
 
 
 def test_not_enough_matches_when_b_small(params64):
