@@ -95,8 +95,6 @@ def _seed(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    if args.bits < 8:
-        raise ValueError("--bits must be at least 8")
     seed = _seed(args)
     field = gen_params(args.bits, seed)
     print(f"seed={seed}")
@@ -199,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("params", help="generate safe-prime field parameters")
-    p.add_argument("--bits", type=int, required=True, help="exact bit length of p (8 to 4096)")
+    p.add_argument("--bits", type=int, required=True, help="exact bit length of p")
     p.add_argument("--seed", type=_int_arg, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_params)

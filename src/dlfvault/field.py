@@ -270,22 +270,6 @@ def params_from_file(data: bytes) -> PrimeField:
 GF16_REDUCTION_POLY = 0x1002B
 
 
-def gf16_clmul(a: int, b: int) -> int:
-    """Carry-less shift-and-xor product reduced mod GF16_REDUCTION_POLY;
-    the reference the table arithmetic is tested against."""
-    a &= 0xFFFF
-    b &= 0xFFFF
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a & 0x10000:
-            a ^= GF16_REDUCTION_POLY
-    return r
-
-
 class BinaryField16:
     """GF(2^16) modulo GF16_REDUCTION_POLY, with log/exp tables over the
     generator x + 1.

@@ -5,6 +5,7 @@ import dataclasses
 import struct
 
 from dlfvault._wire import pack_lpint
+from dlfvault.field import GF16_REDUCTION_POLY
 
 # 65,535 bytes, the widest integer a DLFK length prefix carries; even
 WIDE_EXPONENT = 1 << 8 * 0xFFFF - 1
@@ -59,6 +60,22 @@ def vault_file(p, alpha, points):
     for x, y in points:
         out += x.to_bytes(width, "big") + y.to_bytes(width, "big")
     return out
+
+
+def gf16_clmul(a, b):
+    """Carry-less shift-and-xor product reduced mod GF16_REDUCTION_POLY;
+    the reference the GF(2^16) table arithmetic is tested against."""
+    a &= 0xFFFF
+    b &= 0xFFFF
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a & 0x10000:
+            a ^= GF16_REDUCTION_POLY
+    return r
 
 
 def no_pow(*args):

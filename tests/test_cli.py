@@ -1,4 +1,6 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -35,10 +37,26 @@ def test_params_output_and_reproducibility(tmp_path, capsys):
     assert field.p_bits == 20
 
 
-def test_params_rejects_small_bits(tmp_path):
-    rc = cli.main(["params", "--bits", "7", "--seed", "1",
+def test_params_rejects_small_bits(tmp_path, capsys):
+    # gen_params owns the width rule, so its message is the CLI's
+    rc = cli.main(["params", "--bits", "4", "--seed", "1",
                    "--out", str(tmp_path / "x.dlfp")])
     assert rc == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bits must lie in [5, 4096], not 4\n"
+    assert not (tmp_path / "x.dlfp").exists()
+
+
+def test_params_five_bits_writes_the_smallest_safe_prime(tmp_path):
+    out = tmp_path / "x.dlfp"
+    assert cli.main(["params", "--bits", "5", "--seed", "1", "--out", str(out)]) == 0
+    assert params_from_file(out.read_bytes()).p == 23
+
+
+def test_params_help_names_no_width_range(capsys):
+    assert cli.main(["params", "--help"]) == cli.EXIT_OK
+    assert "--bits BITS  exact bit length of p\n" in capsys.readouterr().out
 
 
 def test_params_bits_above_the_bound_is_a_usage_error(tmp_path):
@@ -409,10 +427,15 @@ def test_attack_invalid_combo():
     assert rc == cli.EXIT_USAGE
 
 
-def test_params_bits_below_8_is_a_usage_error(tmp_path, capsys):
-    rc = cli.main(["params", "--bits", "7", "--seed", "1", "--out", str(tmp_path / "x.dlfp")])
-    assert rc == cli.EXIT_USAGE
-    assert capsys.readouterr().err == "error: --bits must be at least 8\n"
+def test_exit_codes_match_the_readme_and_the_docstring():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Exit codes are a stable contract:(.*?)\.\n", readme, re.S).group(1)
+    listed = [int(item.split()[0]) for item in sentence.split(",")]
+    documented = [int(code) for code in re.findall(r"^    (\d+)  ", cli.__doc__, re.M)]
+    codes = [value for name, value in vars(cli).items() if name.startswith("EXIT_")]
+    assert codes == list(range(9))
+    assert listed == codes
+    assert documented == codes
 
 
 def test_attack_mode_conflict_is_a_usage_error(capsys):

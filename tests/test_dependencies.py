@@ -1,6 +1,8 @@
-"""The package has no runtime dependencies, and these tests keep it so."""
+"""The package has no runtime dependencies, no dead names and no syntax
+newer than its declared Python floor, and these tests keep it so."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -51,16 +53,23 @@ def test_package_has_no_unused_imports():
     assert unused == []
 
 
+# the oldest Python the package supports, from its one source
+FLOOR = tuple(int(part) for part in re.search(
+    r'^requires-python = ">=(\d+)\.(\d+)"$',
+    (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M).groups())
+
+
 def _parsed(*dirs):
     for folder in dirs:
         for path in sorted((ROOT / folder).rglob("*.py")):
-            yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                                  feature_version=FLOOR)
 
 
-def test_package_defines_no_unreferenced_names():
-    # a name is referenced when some module loads it or reads it as an attribute
+def _unreferenced(*readers):
+    """Package names that no module under `readers` loads or reads as an attribute."""
     referenced = set()
-    for _, tree in _parsed("src", "tests", "bench"):
+    for _, tree in _parsed(*readers):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.id)
@@ -81,7 +90,22 @@ def test_package_defines_no_unreferenced_names():
             unreferenced += [f"{path.name}: {name}" for name in names
                              if name not in referenced
                              and not (name.startswith("__") and name.endswith("__"))]
-    assert unreferenced == []
+    return unreferenced
+
+
+def test_package_defines_no_unreferenced_names():
+    assert _unreferenced("src", "tests", "bench") == []
+
+
+def test_package_defines_no_name_that_only_tests_read():
+    # a reference kept only for the tests belongs in the tests
+    assert _unreferenced("src", "bench") == []
+
+
+def test_every_source_parses_at_the_declared_python_floor():
+    # ast checks syntax only: newer f-string forms and standard-library
+    # names added after the floor pass here unnoticed
+    assert list(_parsed("src", "tests", "bench"))
 
 
 def test_no_seed_parameter_has_a_default():

@@ -6,7 +6,7 @@ from math import gcd, prod
 
 import pytest
 
-from helpers import no_pow
+from helpers import gf16_clmul, no_pow
 from dlfvault import field as field_module
 from dlfvault.errors import BadFactorization, MalformedFile, ZeroInverse
 from dlfvault.field import (
@@ -14,7 +14,6 @@ from dlfvault.field import (
     PrimeField,
     binary_field,
     gen_params,
-    gf16_clmul,
     is_prime,
     is_primitive_root,
     params_from_file,
