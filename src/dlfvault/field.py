@@ -5,16 +5,21 @@ Prime-field elements are plain ints in [0, p); the field itself is the
 frozen pair of p and a fixed primitive root alpha. Every field, in
 memory or read from bytes, is a safe prime p = 2q + 1 of at most
 MAX_P_BITS bits with alpha a primitive root; that is proven from the
-structure of p (Pocklington's criterion, one Miller-Rabin test on q)
-once per process, and later uses of the same (p, alpha) reuse it.
-gen_params finds q by a staged sieve on q and 2q + 1, cheapest stage
-first: a residue wheel modulo 3*5*7*11*13, one gcd of q(2q + 1) with the
-product of the primes below 1100, and one with the product of the primes
-from 1100 to 2^14. Then come single-round tests on q and 2q + 1, then
-that certificate. The sieve changes no output: see gen_params. GF(2^16)
-elements are ints in [0, 65536) interpreted as polynomials over GF(2),
-reduced mod the fixed polynomial x^16+x^5+x^3+x+1; there is no other
-choice of reduction.
+structure of p once per process, and later uses of the same (p, alpha)
+reuse it. The certificate is Pocklington's criterion for p with a
+Baillie-PSW test on q. Baillie-PSW has no proven error bound, but no
+composite is known to pass it and none below 2^64 does; the 64 seeded
+Miller-Rabin rounds it replaced had no proven bound against a chosen q
+either (see _is_safe_field, and Albrecht et al., "Prime and Prejudice",
+CCS 2018). gen_params finds q by a staged sieve on q and 2q + 1,
+cheapest stage first: a residue wheel modulo 3*5*7*11*13, one gcd of
+q(2q + 1) with the product of the primes below 1100, and one with the
+product of the primes from 1100 to 2^14. Then come strong
+probable-prime rounds to base 2 on q and 2q + 1, then that certificate.
+The sieve changes no output: see gen_params. GF(2^16) elements are ints
+in [0, 65536) interpreted as polynomials over GF(2), reduced mod the
+fixed polynomial x^16+x^5+x^3+x+1; there is no other choice of
+reduction.
 """
 
 from __future__ import annotations
@@ -22,17 +27,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from ._wire import check_end, pack_lpint, read_header, unpack_lpint
 from .errors import BadFactorization, MalformedFile, ZeroInverse
 
-_MILLER_RABIN_ROUNDS = 64
 # below this bound primality is decided by trial division alone
 _TRIAL_DIVISION_BOUND = 1 << 20
 # distinct (p, alpha) pairs whose safety verdict is remembered per process
 _PROVEN_FIELDS = 64
-# widest p: the certificate's pow takes ~0.2 s at 4096 bits on CPython 3.11, ~8x per doubling
+# widest p: its certificate takes ~0.8 s at 4096 bits on CPython 3.11 (Baillie-PSW
+# on q 0.6 s, one pow 0.16 s), ~6-8x per doubling
 MAX_P_BITS = 4096
 
 
@@ -78,40 +83,80 @@ def _wide_primorial() -> int:
     return prod(_sieve(_SIEVE_BOUND)[len(_SMALL_PRIMES):])
 
 
-def _miller_rabin(n: int, rounds: int) -> bool:
-    # bases drawn from an rng seeded with n itself, so the verdict is
-    # deterministic per candidate while still using random witnesses
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    rng = random.Random(n)
-    for _ in range(rounds):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+def _strong_base2(n: int) -> bool:
+    """One strong probable-prime (Miller-Rabin) round to base 2 on odd n > 2."""
+    s = ((n - 1) & -(n - 1)).bit_length() - 1
+    x = pow(2, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test on odd n > 2, with Selfridge's
+    method A: P = 1 and Q = (1 - D)/4 for the first D in 5, -7, 9, -11,
+    ... with Jacobi symbol (D/n) = -1. No such D exists when n is a
+    perfect square, so squares are rejected before the search."""
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
             return False
-    return True
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    # n + 1 = d * 2^s with d odd; U_k, V_k and Q^k are built along the
+    # bits of d from k = 1, where U_1 = 1 and V_1 = P = 1
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            # U_{k+1} = (U_k + V_k)/2 and V_{k+1} = (D U_k + V_k)/2 mod odd n
+            U, V = U + V, D * U + V
+            U = (U + n if U % 2 else U) // 2 % n
+            V = (V + n if V % 2 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
-def is_prime(n: int, rounds: int = _MILLER_RABIN_ROUNDS) -> bool:
+def is_prime(n: int) -> bool:
     """Primality test: trial division by every prime below 1100 as one gcd
-    with their product, which is exhaustive below 2^20; Miller-Rabin with
-    `rounds` witnesses above. rounds below 1 raise ValueError."""
-    if rounds < 1:
-        raise ValueError(f"rounds must be at least 1, not {rounds}")
+    with their product, which is exhaustive below 2^20; the Baillie-PSW
+    test above it, a strong probable-prime round to base 2 and then a
+    strong Lucas test."""
     if n < 2:
         return False
     if gcd(n, _SMALL_PRIMORIAL) != 1:
         return n in _SMALL_PRIMES
-    return n < _TRIAL_DIVISION_BOUND or _miller_rabin(n, rounds)
+    return n < _TRIAL_DIVISION_BOUND or (_strong_base2(n) and _strong_lucas(n))
 
 
 def is_primitive_root(candidate: int, p: int, factors: list[int]) -> bool:
@@ -145,10 +190,21 @@ def _is_safe_field(p: int, alpha: int) -> bool:
 
     Pocklington's criterion for p - 1 = 2q: q prime, alpha^(p-1) = 1 and
     gcd(alpha^2 - 1, p) = 1 prove p prime, because q > sqrt(p) - 1. So the
-    only Miller-Rabin test is the one on q. alpha^q = p - 1 gives
-    alpha^(p-1) = 1 and, once p is prime, excludes every order of alpha
-    below 2q. Memoised per (p, alpha), so a field is proven once per
-    process however often it is loaded.
+    only probable-prime test is the one on q, and it is is_prime's
+    Baillie-PSW: a strong round to base 2, then a strong Lucas test.
+    alpha^q = p - 1 gives alpha^(p-1) = 1 and, once p is prime, excludes
+    every order of alpha below 2q. Memoised per (p, alpha), so a field is
+    proven once per process however often it is loaded.
+
+    Baillie-PSW has no proven error bound. No composite that passes it is
+    known, and none exists below 2^64 (Gilchrist's check of Feitsma's list
+    of base-2 pseudoprimes). The 64 Miller-Rabin rounds it replaced drew
+    their bases from an rng seeded with q itself, so whoever chose q knew
+    every base, and no proven bound held against a chosen q either.
+    Albrecht, Massimo, Paterson & Somorovsky, "Prime and Prejudice"
+    (CCS 2018), build composites that pass Miller-Rabin with fixed or
+    predictable bases, and promote Baillie-PSW for numbers an adversary
+    may choose.
     """
     if p.bit_length() > MAX_P_BITS or p % 2 == 0 or not 2 <= alpha <= p - 2:
         return False
@@ -201,9 +257,9 @@ def gen_params(bits: int, seed: int) -> PrimeField:
     p = 2q + 1 with q prime; candidates for q are drawn from a seeded rng,
     passed through a joint sieve that drops q when q or 2q + 1 has a
     prime factor below _SIEVE_BOUND = 2^14 (Wiener's combined sieve),
-    filtered with single-round tests, then proven with the same
-    certificate every loaded field gets. The sieve runs in three stages,
-    cheapest first:
+    filtered with a strong probable-prime round to base 2 on q and then on
+    2q + 1, then proven with the same certificate every loaded field
+    gets. The sieve runs in three stages, cheapest first:
 
     1. a table lookup of q mod 3*5*7*11*13, which drops about 90% of
        draws;
@@ -213,18 +269,16 @@ def gen_params(bits: int, seed: int) -> PrimeField:
 
     The sieve acts only above q = 2^14, where q and 2q + 1 cannot be one
     of its primes, so each candidate it drops is composite in q or in
-    2q + 1. Stages 1-2 drop only candidates that is_prime(q) or
-    is_prime(2q + 1) rejects by trial division anyway. Stage 3 drops
-    candidates that would otherwise reach a single-round Miller-Rabin,
-    so the output stays the same for a weaker reason: Pocklington's
-    criterion in the certificate rejects every composite p whose q is
-    prime, so such a candidate could have been accepted without stage 3
-    only if its composite q passed the certificate's 64-round
-    Miller-Rabin. Miller-Rabin draws its witnesses from its own rng, so
-    the sieve leaves the draws of q, and with them the accepted
-    (p, alpha), unchanged. For prime p, alpha^q is 1 or p - 1, so the
-    smallest alpha with alpha^q != 1 is the smallest primitive root;
-    safe primes have abundant ones.
+    2q + 1. Neither the sieve nor the base-2 rounds drop a safe prime,
+    and neither draws from the rng, so they leave the draws of q
+    unchanged; the certificate alone decides which candidate is
+    accepted. Pocklington's criterion in it rejects every composite p
+    whose q is prime, and is_prime(q) rejects by trial division every q
+    that stages 1-2 drop for q's sake. A candidate that stage 3 drops
+    could have been accepted without it only if its composite q passed
+    Baillie-PSW. For prime p, alpha^q is 1 or p - 1, so the smallest
+    alpha with alpha^q != 1 is the smallest primitive root; safe primes
+    have abundant ones.
     """
     if not 5 <= bits <= MAX_P_BITS:
         raise ValueError(f"bits must lie in [5, {MAX_P_BITS}], not {bits}")
@@ -237,10 +291,10 @@ def gen_params(bits: int, seed: int) -> PrimeField:
             both = q * (2 * q + 1)
             if gcd(both, _SMALL_PRIMORIAL) != 1 or gcd(both, _wide_primorial()) != 1:
                 continue
-        if not is_prime(q, rounds=1):
+        if not _strong_base2(q):
             continue
         p = 2 * q + 1
-        if not is_prime(p, rounds=1):
+        if not _strong_base2(p):
             continue
         alpha = 2
         while pow(alpha, q, p) == 1:

@@ -60,16 +60,56 @@ def test_is_prime_large_values():
     assert is_prime(2 ** 61 - 1)
     assert not is_prime((2 ** 61 - 1) * (2 ** 31 - 1))
     assert not is_prime(2 ** 64)
+    # both factors lie above the trial-division primes, so only
+    # Baillie-PSW can expose the product
+    assert not is_prime(1000003 * 1000033)
 
 
-def test_is_prime_refuses_fewer_than_one_round():
-    # both factors are prime and above the trial-division primes, so only
-    # Miller-Rabin can expose the product
-    n = 1000003 * 1000033
-    assert not is_prime(n)
-    for rounds in (0, -5):
-        with pytest.raises(ValueError):
-            is_prime(n, rounds=rounds)
+def test_strong_base2_pseudoprimes_fail_the_lucas_half():
+    # OEIS A001262: the smallest strong pseudoprimes to base 2
+    for n in (2047, 3277, 4033, 4681, 8321):
+        assert field_module._strong_base2(n), n
+        assert not field_module._strong_lucas(n), n
+
+
+def test_strong_lucas_pseudoprimes_fail_the_base2_half():
+    # OEIS A217255: the smallest strong Lucas pseudoprimes under
+    # Selfridge's method A
+    for n in (5459, 5777, 10877, 16109, 18971):
+        assert field_module._strong_lucas(n), n
+        assert not field_module._strong_base2(n), n
+
+
+def test_bpsw_matches_a_sieve_on_every_odd_n_below_2_20():
+    limit = 1 << 20
+    flags = bytearray([1]) * limit
+    flags[0] = flags[1] = 0
+    for i in range(2, 1 << 10):
+        if flags[i]:
+            flags[i * i::i] = bytearray(len(flags[i * i::i]))
+    bpsw = [n for n in range(3, limit, 2)
+            if field_module._strong_base2(n) and field_module._strong_lucas(n)]
+    assert bpsw == [n for n in range(3, limit, 2) if flags[n]]
+
+
+def test_bpsw_rejects_perfect_squares():
+    # 1093^2 and 3511^2 pass the base-2 round (1093 and 3511 are the
+    # Wieferich primes), so the Lucas half must catch them
+    for n in (1093 ** 2, 3511 ** 2):
+        assert field_module._strong_base2(n), n
+        assert not field_module._strong_lucas(n), n
+    # a square has no D with Jacobi symbol -1, so without the square check
+    # the D search would run until |D| met a factor of n: about 2^126
+    # steps for the last
+    for n in (9, 25, 1103 ** 2, (2 ** 61 - 1) ** 2, (2 ** 127 - 1) ** 2):
+        assert not field_module._strong_lucas(n), n
+        assert not is_prime(n), n
+
+
+def test_is_prime_accepts_mersenne_primes():
+    for e in (521, 607, 1279):
+        assert is_prime(2 ** e - 1), e
+    assert not is_prime(2 ** 523 - 1)
 
 
 def test_primitive_root_worked_example():
@@ -138,35 +178,34 @@ def test_gen_params_output_is_pinned():
 
 
 def test_gen_params_sieves_q_and_2q_plus_1_before_miller_rabin(monkeypatch):
-    # every single-round test on a 255-bit q (the 256-bit p = 2q + 1 is
+    # every base-2 round on a 255-bit q (the 256-bit p = 2q + 1 is
     # tested the same way once q passes) comes after the joint gcd sieve
     calls = []
-    miller_rabin = field_module._miller_rabin
+    base2 = field_module._strong_base2
 
-    def recording(n, rounds):
-        calls.append((n, rounds))
-        return miller_rabin(n, rounds)
+    def recording(n):
+        calls.append(n)
+        return base2(n)
 
-    monkeypatch.setattr(field_module, "_miller_rabin", recording)
+    monkeypatch.setattr(field_module, "_strong_base2", recording)
     gen_params(256, 1)
-    qs = [n for n, rounds in calls if rounds == 1 and n.bit_length() == 255]
+    qs = [n for n in calls if n.bit_length() == 255]
     assert qs
     assert all(gcd(q * (2 * q + 1), field_module._SMALL_PRIMORIAL) == 1 for q in qs)
 
 
 def test_gen_params_sieves_below_2_14_before_miller_rabin(monkeypatch):
-    # no q or p = 2q + 1 reaches a single-round test with a prime factor
+    # no q or p = 2q + 1 reaches a base-2 round with a prime factor
     # below 2^14, the sieve's bound
     primorial = prod(n for n in range(2, 1 << 14) if is_prime(n))
     tested = []
-    miller_rabin = field_module._miller_rabin
+    base2 = field_module._strong_base2
 
-    def recording(n, rounds):
-        if rounds == 1:
-            tested.append(n)
-        return miller_rabin(n, rounds)
+    def recording(n):
+        tested.append(n)
+        return base2(n)
 
-    monkeypatch.setattr(field_module, "_miller_rabin", recording)
+    monkeypatch.setattr(field_module, "_strong_base2", recording)
     f = gen_params(256, 1)
     assert f.p // 2 in tested and f.p in tested
     assert all(gcd(n, primorial) == 1 for n in tested)
