@@ -7,13 +7,17 @@ scheme parameter, not degree, so leading zeros are legitimate.
 
 Over a PrimeField the kernels run on plain ints modulo p, and an
 interpolation inverts its n denominators together with one modular
-inverse (Montgomery's batch inversion). Any other field, in practice the
-GF(2^16) of the identity binding, goes through its add/sub/mul/inv methods
-and has no decoder.
+inverse (Montgomery's batch inversion). A walk over the n-subsets of
+some points (subset_interpolants) interpolates its first subset outright
+and then updates that interpolant by point swaps, in O(n) and one modular
+inverse each. Any other field, in practice the GF(2^16) of the identity
+binding, goes through its add/sub/mul/inv methods, interpolates every
+subset of a walk outright and has no decoder.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from operator import mul
 
 from .errors import ZeroInverse
@@ -118,6 +122,69 @@ def _interpolate_mod_p(field: PrimeField, points: list[tuple[int, int]],
         scales[i] = points[i][1] * acc * prefix[i] % p
         acc = acc * denoms[i] % p
     return [sum(map(mul, column, scales)) % p for column in zip(*quotients)]
+
+
+def subset_interpolants(field, points, n):
+    """Yield lagrange_interpolate(field, subset) for each subset in
+    itertools.combinations(points, n), in that order.
+
+    Over a PrimeField the first subset is interpolated outright, with its
+    master M = prod (X - x). In lexicographic order each later subset
+    differs from the one before only in a suffix, and each point a that
+    leaves and (x, y) that enters is one swap: K = M / (X - a), then
+    P += K * (y - P(x)) / K(x) and M = K * (X - x), in O(n) and one
+    modular inverse. When K(x) is 0, x repeats a point of the set, and
+    that subset is interpolated outright instead: it raises ZeroInverse
+    only if the subset itself repeats an x mod p. Other fields interpolate
+    every subset outright.
+    """
+    if not isinstance(field, PrimeField):
+        for subset in combinations(points, n):
+            yield lagrange_interpolate(field, subset)
+        return
+    points = list(points)
+    m, p = len(points), field.p
+    if n > m:
+        return
+    chosen = list(range(n))
+    poly, master = _outright(field, points, chosen)
+    while True:
+        yield poly
+        # the rightmost position that can still advance, as combinations does
+        i = n - 1
+        while i >= 0 and chosen[i] == m - n + i:
+            i -= 1
+        if i < 0:
+            return
+        old, new = chosen[i:], range(chosen[i] + 1, chosen[i] + 1 + n - i)
+        chosen[i:] = new
+        leaving = [j for j in old if j not in new]
+        entering = [j for j in new if j not in old]
+        for gone, j in zip(leaving, entering):
+            a, (x, y) = points[gone][0], points[j]
+            # K = master / (X - a) by synthetic division, with K(x) and
+            # poly(x) by Horner in the same high-to-low pass
+            quotient = [0] * n
+            carry, kx, px = 1, 0, 0
+            for k in range(n - 1, -1, -1):
+                quotient[k] = carry
+                kx = (kx * x + carry) % p
+                px = (px * x + poly[k]) % p
+                carry = (carry * a + master[k]) % p
+            if not kx:
+                poly, master = _outright(field, points, chosen)
+                break
+            scale = (y - px) * pow(kx, -1, p) % p
+            poly = [(c + scale * q) % p for c, q in zip(poly, quotient)]
+            master = [(lo - x * hi) % p for lo, hi in zip([0] + quotient, quotient + [0])]
+
+
+def _outright(field: PrimeField, points: list[tuple[int, int]],
+              chosen: list[int]) -> tuple[list[int], list[int]]:
+    """lagrange_interpolate of the chosen points, and their master."""
+    subset = [points[j] for j in chosen]
+    return (lagrange_interpolate(field, subset),
+            _product_mod_p(field.p, [x for x, _ in subset]))
 
 
 def rs_decode(field: PrimeField, points: list[tuple[int, int]],

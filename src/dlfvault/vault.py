@@ -2,6 +2,8 @@
 matching, subset search, lock/unlock and the DLFV format; dlog_codec
 maps messages to coefficients and back. Unlock decodes the matches as a
 Reed-Solomon codeword and walks subsets only when that finds nothing.
+The walk updates one interpolant as points are swapped in and out
+(polynomial.subset_interpolants), not one interpolation per subset.
 
 A vault is r points over a field: F_p for the four schemes here,
 GF(2^16) for identity binding, which reuses place_points, nearest_points
@@ -15,7 +17,6 @@ value can never sit within delta of two vault points at once.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 import struct
 from bisect import bisect_left, insort
@@ -42,7 +43,7 @@ from .errors import (
     SignatureMismatch,
 )
 from .field import PrimeField
-from .polynomial import eval_poly, lagrange_interpolate, rs_decode
+from .polynomial import eval_poly, rs_decode, subset_interpolants
 
 # subsets the brute-force attack may try, and unlock when its single
 # Reed-Solomon decoder pass finds no polynomial; that pass is not counted
@@ -240,7 +241,8 @@ def match_points(vault: Vault, unlocking_set) -> list[tuple[int, int]]:
 def subset_search(field, candidates, coeff_count, decode, max_subsets):
     """Interpolate at most max_subsets candidate subsets in lexicographic
     x order until decode accepts one; returns (decoded value or None,
-    subsets tried).
+    subsets tried). subset_interpolants walks them: over F_p one outright
+    interpolation, then O(n) and one modular inverse per swapped point.
 
     This is the paper's attack model and identity binding's search, and
     unlock's fallback beyond the Reed-Solomon decoding radius; max_subsets
@@ -255,9 +257,8 @@ def subset_search(field, candidates, coeff_count, decode, max_subsets):
     if max_subsets < 0:
         raise ValueError(f"max_subsets must be non-negative, not {max_subsets}")
     tried = 0
-    for tried, subset in zip(range(1, max_subsets + 1),
-                             itertools.combinations(candidates, coeff_count)):
-        coeffs = lagrange_interpolate(field, subset)
+    for tried, coeffs in zip(range(1, max_subsets + 1),
+                             subset_interpolants(field, candidates, coeff_count)):
         try:
             return decode(coeffs), tried
         except _REJECTED:

@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import combinations, islice
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +14,7 @@ from dlfvault.polynomial import (
     eval_poly,
     lagrange_interpolate,
     rs_decode,
+    subset_interpolants,
 )
 from helpers import OAKLEY_1024, PowCounter
 
@@ -193,6 +196,102 @@ def test_rs_decode_refuses_too_few_points_and_x_values_equal_mod_p():
     f = PrimeField(23, 5)
     assert rs_decode(f, [(1, 1), (2, 2)], 3) is None
     assert rs_decode(f, [(1, 1), (24, 2), (3, 3)], 1) is None
+
+
+# subset walks
+
+def _walk(interpolants, limit=None):
+    """The lists a walk yields, up to limit, and whether it then raised
+    ZeroInverse."""
+    out = []
+    try:
+        for coeffs in islice(interpolants, limit):
+            out.append(coeffs)
+    except ZeroInverse:
+        return out, True
+    return out, False
+
+
+def _outright(field, points, n, limit=None):
+    """The reference walk: lagrange_interpolate on each subset."""
+    return _walk((lagrange_interpolate(field, s) for s in combinations(points, n)), limit)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_subset_interpolants_equal_one_interpolation_per_subset(bits, params64, params256):
+    f = {64: params64, 256: params256, 1024: PrimeField(OAKLEY_1024, 5)}[bits]
+    rng = random.Random(30 + bits)
+    # (23, 11) has 1,352,078 subsets, so only the first are compared, and
+    # at 1024 bits, where one interpolation takes about a millisecond, of
+    # (12, 6) too; (15, 12) is walked whole, back to its first position
+    cap = 1000 if bits < 1024 else 200
+    for m, n, limit in ((15, 12, None), (12, 6, None if bits < 1024 else cap), (23, 11, cap),
+                        (9, 1, None), (9, 9, None)):
+        # unsorted x values distinct mod p, some lifted to p or above, and
+        # y values up to 3p
+        xs = [x + f.p * rng.randrange(3) for x in distinct_residues(rng, f.p, m)]
+        points = [(x, rng.randrange(3 * f.p)) for x in xs]
+        expected = _outright(f, points, n, limit)
+        assert expected[1] is False and len(expected[0]) == min(math.comb(m, n), limit or math.inf)
+        assert _walk(subset_interpolants(f, points, n), limit) == expected
+
+
+def test_subset_interpolants_raise_where_a_subset_repeats_an_x_mod_p():
+    # x = 24 is 1 mod 23. Going from {0, 24} to {1, 2} passes through
+    # {1, 24}, which repeats an x, but the walk still yields {1, 2} and
+    # raises only at {1, 24}, the fifth subset
+    f = PrimeField(23, 5)
+    points = [(0, 3), (1, 4), (2, 9), (24, 7)]
+    walked = _walk(subset_interpolants(f, points, 2))
+    assert walked == _outright(f, points, 2)
+    assert len(walked[0]) == 4 and walked[1] is True
+
+
+@pytest.mark.parametrize("p", [23, 47])
+def test_subset_interpolants_on_small_fields_stop_where_one_interpolation_per_subset_does(p):
+    f = PrimeField(p, 5)
+    rng = random.Random(p)
+    raised = 0
+    for _ in range(1500):
+        m = rng.randrange(9)
+        n = rng.randrange(m + 2)
+        # x values below 3p repeat mod p often at this size
+        points = [(rng.randrange(3 * p), rng.randrange(3 * p)) for _ in range(m)]
+        expected = _outright(f, points, n)
+        raised += expected[1]
+        assert _walk(subset_interpolants(f, points, n)) == expected
+    assert raised > 100
+
+
+@pytest.mark.parametrize("field_name", ["prime", "gf16"])
+def test_a_subset_walk_interpolates_outright_once_over_f_p_and_each_subset_otherwise(
+        field_name, params64, monkeypatch):
+    calls = []
+
+    def counted(field, points):
+        calls.append(len(points))
+        return lagrange_interpolate(field, points)
+
+    monkeypatch.setattr(polynomial, "lagrange_interpolate", counted)
+    f = params64 if field_name == "prime" else binary_field()
+    rng = random.Random(32)
+    points = [(x, rng.randrange(1 << 16)) for x in rng.sample(range(1 << 16), 10)]
+    walked = list(subset_interpolants(f, points, 4))
+    assert calls == [4] * (1 if field_name == "prime" else math.comb(10, 4))
+    assert walked == [lagrange_interpolate(f, s) for s in combinations(points, 4)]
+
+
+def test_a_point_swap_computes_one_inverse(params256, monkeypatch):
+    counter = PowCounter()
+    monkeypatch.setattr(polynomial, "pow", counter, raising=False)
+    rng = random.Random(33)
+    points = [(x, rng.randrange(params256.p)) for x in distinct_residues(rng, params256.p, 6)]
+    # consecutive 3-subsets of 6 points differ in one, two or three points;
+    # the first of the 20 subsets is one outright interpolation
+    subsets = list(combinations(range(6), 3))
+    swapped = sum(len(set(new) - set(old)) for old, new in zip(subsets, subsets[1:]))
+    assert len(list(subset_interpolants(params256, points, 3))) == 20
+    assert counter.inverses == 1 + swapped
 
 
 # CRC-16

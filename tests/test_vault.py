@@ -316,9 +316,9 @@ def test_a_wrong_key_within_the_decoding_radius_walks_no_subset(monkeypatch, cha
     chaff = [x for (x, _), genuine in zip(vault.points, vault.genuine_mask) if not genuine]
 
     def no_subset(*args):
-        raise AssertionError("unlock interpolated a subset")
+        raise AssertionError("unlock walked the subsets")
 
-    monkeypatch.setattr(vault_module, "lagrange_interpolate", no_subset)
+    monkeypatch.setattr(vault_module, "subset_interpolants", no_subset)
     with pytest.raises(DecodeFailed):
         unlock(vault, [a + 2 for a in A] + chaff[:chaff_hits], other_key)
 
