@@ -8,11 +8,13 @@ scheme parameter, not degree, so leading zeros are legitimate.
 Over a PrimeField the kernels run on plain ints modulo p, and an
 interpolation inverts its n denominators together with one modular
 inverse (Montgomery's batch inversion). A walk over the n-subsets of
-some points (subset_interpolants) interpolates its first subset outright
-and then updates that interpolant by point swaps, in O(n) and one modular
-inverse each. Any other field, in practice the GF(2^16) of the identity
-binding, goes through its add/sub/mul/inv methods, interpolates every
-subset of a walk outright and has no decoder.
+some points (subset_interpolants) interpolates its first subset outright.
+From one subset to the next it drops the points that leave, then adds
+those that enter in Newton's form: O(n) per point dropped or added, plus
+one modular inverse per added point, and no fallback. Any other field, in
+practice the GF(2^16) of the identity binding, goes through its
+add/sub/mul/inv methods, interpolates by that same add step, walks every
+subset by an outright interpolation and has no decoder.
 """
 
 from __future__ import annotations
@@ -44,41 +46,23 @@ def lagrange_interpolate(field, points: list[tuple[int, int]]) -> list[int]:
     """The unique coefficient list of length len(points) through the points.
 
     x values equal in the field raise ZeroInverse. Runs in O(n^2) for n
-    points: one master product over all x, then a synthetic division and
-    a scaled accumulation per point. Over a PrimeField the arithmetic is
-    on plain ints with one modular inverse for all the denominators; other
-    fields use their methods and one inverse per point, where an equal x
-    makes that point's denominator 0.
+    points. Over a PrimeField the arithmetic is on plain ints: one master
+    product over all x, then a synthetic division and a scaled
+    accumulation per point, with one modular inverse for all the
+    denominators. Other fields use their methods and add the points one at
+    a time in Newton's form, P += M * (y - P(x)) / M(x) and M *= (X - x)
+    with M the master of the points added so far, so one inverse per point
+    and an equal x makes M(x) 0.
     """
-    xs = [x for x, _ in points]
     if isinstance(field, PrimeField):
-        return _interpolate_mod_p(field, points, _product_mod_p(field.p, xs))
-
-    n = len(points)
-    # master(X) = prod_j (X - x_j), length n + 1
-    master = [0] * (n + 1)
-    master[0] = 1
-    degree = 0
-    for x in xs:
-        neg_x = field.sub(0, x)
-        degree += 1
-        for i in range(degree, 0, -1):
-            master[i] = field.add(master[i - 1], field.mul(master[i], neg_x))
-        master[0] = field.mul(master[0], neg_x)
-
-    result = [0] * n
+        return _interpolate_mod_p(field, points, _product_mod_p(field.p, [x for x, _ in points]))
+    result, master = [0] * len(points), [1]
     for x, y in points:
-        # synthetic division: q = master / (X - x), degree n - 1
-        q = [0] * n
-        carry = master[n]
-        for k in range(n - 1, -1, -1):
-            q[k] = carry
-            carry = field.add(field.mul(carry, x), master[k])
-        # q(x) = prod_{j != i} (x_i - x_j)
-        denom = eval_poly(field, q, x)
-        scale = field.mul(y, field.inv(denom))
-        for k in range(n):
-            result[k] = field.add(result[k], field.mul(q[k], scale))
+        scale = field.mul(field.sub(y, eval_poly(field, result, x)),
+                          field.inv(eval_poly(field, master, x)))
+        for k, c in enumerate(master):
+            result[k] = field.add(result[k], field.mul(c, scale))
+        master = [field.sub(lo, field.mul(x, hi)) for lo, hi in zip([0] + master, master + [0])]
     return result
 
 
@@ -130,13 +114,14 @@ def subset_interpolants(field, points, n):
 
     Over a PrimeField the first subset is interpolated outright, with its
     master M = prod (X - x). In lexicographic order each later subset
-    differs from the one before only in a suffix, and each point a that
-    leaves and (x, y) that enters is one swap: K = M / (X - a), then
-    P += K * (y - P(x)) / K(x) and M = K * (X - x), in O(n) and one
-    modular inverse. When K(x) is 0, x repeats a point of the set, and
-    that subset is interpolated outright instead: it raises ZeroInverse
-    only if the subset itself repeats an x mod p. Other fields interpolate
-    every subset outright.
+    differs from the one before only in a suffix. Each point a that leaves
+    is dropped first, M = M / (X - a), with P kept; then each (x, y) that
+    enters is added in Newton's form, P += M * (y - P(x)) / M(x) and
+    M *= (X - x). Each step is O(n), and each added point costs one
+    modular inverse. Every set passed through lies inside the new subset,
+    so M(x) is 0 exactly when that subset repeats an x mod p, and the walk
+    raises ZeroInverse there, as one interpolation per subset would. Other
+    fields interpolate every subset outright.
     """
     if not isinstance(field, PrimeField):
         for subset in combinations(points, n):
@@ -146,8 +131,9 @@ def subset_interpolants(field, points, n):
     m, p = len(points), field.p
     if n > m:
         return
+    poly = lagrange_interpolate(field, points[:n])
+    master = _product_mod_p(p, [x for x, _ in points[:n]])
     chosen = list(range(n))
-    poly, master = _outright(field, points, chosen)
     while True:
         yield poly
         # the rightmost position that can still advance, as combinations does
@@ -158,33 +144,29 @@ def subset_interpolants(field, points, n):
             return
         old, new = chosen[i:], range(chosen[i] + 1, chosen[i] + 1 + n - i)
         chosen[i:] = new
-        leaving = [j for j in old if j not in new]
-        entering = [j for j in new if j not in old]
-        for gone, j in zip(leaving, entering):
-            a, (x, y) = points[gone][0], points[j]
-            # K = master / (X - a) by synthetic division, with K(x) and
-            # poly(x) by Horner in the same high-to-low pass
-            quotient = [0] * n
-            carry, kx, px = 1, 0, 0
-            for k in range(n - 1, -1, -1):
-                quotient[k] = carry
-                kx = (kx * x + carry) % p
-                px = (px * x + poly[k]) % p
-                carry = (carry * a + master[k]) % p
-            if not kx:
-                poly, master = _outright(field, points, chosen)
-                break
-            scale = (y - px) * pow(kx, -1, p) % p
-            poly = [(c + scale * q) % p for c, q in zip(poly, quotient)]
-            master = [(lo - x * hi) % p for lo, hi in zip([0] + quotient, quotient + [0])]
-
-
-def _outright(field: PrimeField, points: list[tuple[int, int]],
-              chosen: list[int]) -> tuple[list[int], list[int]]:
-    """lagrange_interpolate of the chosen points, and their master."""
-    subset = [points[j] for j in chosen]
-    return (lagrange_interpolate(field, subset),
-            _product_mod_p(field.p, [x for x, _ in subset]))
+        for j in old:
+            if j in new:
+                continue
+            # master / (X - a) by synthetic division, high to low
+            a, carry, quotient = points[j][0], 0, []
+            for c in reversed(master[1:]):
+                carry = (carry * a + c) % p
+                quotient.append(carry)
+            master = quotient[::-1]
+        for j in new:
+            if j in old:
+                continue
+            x, y = points[j]
+            px = mx = 0
+            for c in reversed(poly):
+                px = (px * x + c) % p
+            for c in reversed(master):
+                mx = (mx * x + c) % p
+            if not mx:
+                raise ZeroInverse("two interpolation x values are equal mod p")
+            scale = (y - px) * pow(mx, -1, p) % p
+            poly = [(c + scale * q) % p for c, q in zip(poly, master)] + poly[len(master):]
+            master = [(lo - x * hi) % p for lo, hi in zip([0] + master, master + [0])]
 
 
 def rs_decode(field: PrimeField, points: list[tuple[int, int]],

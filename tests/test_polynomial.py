@@ -92,9 +92,12 @@ def test_interpolate_duplicate_x(params64):
 
 
 def test_interpolate_duplicate_x_over_gf16_raise_zero_inverse():
-    # the master product is (X + 5)^2, so the quotient for x = 5 is 0 there
-    with pytest.raises(ZeroInverse):
-        lagrange_interpolate(binary_field(), [(5, 1), (5, 2)])
+    # points are added in Newton's form: once x = 5 is in, the master of the
+    # points so far has the factor X + 5, which vanishes at the second x = 5,
+    # whether that comes next or past another point
+    for points in ([(5, 1), (5, 2)], [(5, 1), (7, 2), (5, 3)]):
+        with pytest.raises(ZeroInverse):
+            lagrange_interpolate(binary_field(), points)
 
 
 def test_eval_is_linear_in_coefficients(params64):
@@ -237,9 +240,9 @@ def test_subset_interpolants_equal_one_interpolation_per_subset(bits, params64, 
 
 
 def test_subset_interpolants_raise_where_a_subset_repeats_an_x_mod_p():
-    # x = 24 is 1 mod 23. Going from {0, 24} to {1, 2} passes through
-    # {1, 24}, which repeats an x, but the walk still yields {1, 2} and
-    # raises only at {1, 24}, the fifth subset
+    # x = 24 is 1 mod 23. Swapping 0 for 1 on the way from {0, 24} to
+    # {1, 2} would pass through {1, 24}, which repeats an x, but the walk
+    # still yields {1, 2} and raises only at {1, 24}, the fifth subset
     f = PrimeField(23, 5)
     points = [(0, 3), (1, 4), (2, 9), (24, 7)]
     walked = _walk(subset_interpolants(f, points, 2))
@@ -263,7 +266,7 @@ def test_subset_interpolants_on_small_fields_stop_where_one_interpolation_per_su
     assert raised > 100
 
 
-@pytest.mark.parametrize("field_name", ["prime", "gf16"])
+@pytest.mark.parametrize("field_name", ["prime", "gf16", "prime-repeat"])
 def test_a_subset_walk_interpolates_outright_once_over_f_p_and_each_subset_otherwise(
         field_name, params64, monkeypatch):
     calls = []
@@ -273,12 +276,22 @@ def test_a_subset_walk_interpolates_outright_once_over_f_p_and_each_subset_other
         return lagrange_interpolate(field, points)
 
     monkeypatch.setattr(polynomial, "lagrange_interpolate", counted)
-    f = params64 if field_name == "prime" else binary_field()
-    rng = random.Random(32)
-    points = [(x, rng.randrange(1 << 16)) for x in rng.sample(range(1 << 16), 10)]
-    walked = list(subset_interpolants(f, points, 4))
-    assert calls == [4] * (1 if field_name == "prime" else math.comb(10, 4))
-    assert walked == [lagrange_interpolate(f, s) for s in combinations(points, 4)]
+    if field_name == "prime-repeat":
+        # x = 24 is 1 mod 23, so the fifth subset {1, 24} repeats an x. Each
+        # move drops its leaving points before it adds the entering ones, so
+        # no set on the way repeats an x before that subset, and no move
+        # falls back to an outright interpolation
+        f, n = PrimeField(23, 5), 2
+        points = [(0, 3), (1, 4), (2, 9), (24, 7)]
+    else:
+        f, n = (params64 if field_name == "prime" else binary_field()), 4
+        rng = random.Random(32)
+        points = [(x, rng.randrange(1 << 16)) for x in rng.sample(range(1 << 16), 10)]
+    walked = _walk(subset_interpolants(f, points, n))
+    assert calls == [n] * (math.comb(10, 4) if field_name == "gf16" else 1)
+    assert walked == _outright(f, points, n)
+    assert len(walked[0]) == (4 if field_name == "prime-repeat" else math.comb(10, 4))
+    assert walked[1] is (field_name == "prime-repeat")
 
 
 def test_a_point_swap_computes_one_inverse(params256, monkeypatch):
