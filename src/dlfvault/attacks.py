@@ -11,9 +11,9 @@ that in their notes next to the exact value.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .dlog_codec import KeyFile, Scheme, message_decoder
 from .errors import BadArguments, NotInGroup
@@ -62,27 +62,17 @@ def _draw(seed: int, index: int, bound: int) -> int:
     return (z ^ (z >> 31)) % bound
 
 
-def _sample_distinct(seed: int, trial: int, n: int, r: int) -> Iterator[int]:
-    # Floyd's uniform n-subset of range(r), one element per draw; at most
-    # 2^16 draws per trial
-    base = trial << 16
-    taken = set()
-    for step, j in enumerate(range(r - n, r)):
-        x = _draw(seed, base + step, j + 1)
-        if x in taken:
-            x = j
-        taken.add(x)
-        yield x
-
-
 def monte_carlo_rate(r: int, t: int, n: int, trials: int, seed: int) -> tuple[float, float]:
     """Estimate exact_success_prob empirically; returns (rate, standard error).
 
     Treats the genuine points as indices 0..t-1, which costs no
-    generality under uniform sampling. A trial fails at its first chaff
-    draw (an index at or above t): Floyd's sampler only adds elements,
-    so later draws cannot change the verdict. Each trial is a pure
-    function of (seed, trial index).
+    generality under uniform sampling. Each trial draws a uniform
+    n-subset of range(r) by Floyd's algorithm: step s draws x from
+    range(r - n + s + 1), at draw index (trial << 16) + s, and takes
+    r - n + s instead when x is already taken. A trial fails at its
+    first chaff draw (an index at or above t): Floyd's sampler only adds
+    elements, so later draws cannot change the verdict. Each trial is a
+    pure function of (seed, trial index).
     """
     if not 0 <= n <= t <= r:
         raise BadArguments(f"need 0 <= n <= t <= r, got r={r} t={t} n={n}")
@@ -90,8 +80,21 @@ def monte_carlo_rate(r: int, t: int, n: int, trials: int, seed: int) -> tuple[fl
         raise BadArguments("trials must be positive")
     if n.bit_length() > 16:
         raise BadArguments("subset size does not fit the per-trial draw budget")
-    successes = sum(all(x < t for x in _sample_distinct(seed, trial, n, r))
-                    for trial in range(trials))
+    first = r - n + 1
+    successes = 0
+    for trial in range(trials):
+        base = trial << 16
+        # a set, not an int bitmask: a bitmask's updates cost O(t) each
+        taken = set()
+        for step in range(n):
+            x = _draw(seed, base + step, first + step)
+            if x in taken:
+                x = first + step - 1
+            if x >= t:
+                break
+            taken.add(x)
+        else:
+            successes += 1
     rate = successes / trials
     stderr = math.sqrt(rate * (1.0 - rate) / trials)
     return rate, stderr
@@ -190,18 +193,12 @@ def brute_force_unlock_attack(vault: Vault, key_file: KeyFile | None = None,
                             message=message)
 
 
-def solve_dlog_bsgs(target: int, params: PrimeField) -> int:
-    """Smallest k with alpha^k = target in F_p, by baby-step giant-step.
-
-    O(sqrt(p)) time and memory; refuses p above 2^40 where the baby
-    table stops being a desk-scale object.
-    """
-    p, alpha = params.p, params.alpha
-    if p > 1 << 40:
-        raise BadArguments("p above 2^40 is out of range for the table-based solver")
-    if target % p == 0:
-        raise NotInGroup("0 is outside the multiplicative group")
-    target %= p
+@lru_cache(maxsize=1)
+def _baby_steps(p: int, alpha: int) -> tuple[int, dict[int, int], int]:
+    """(m, {alpha^j: j for j < m}, alpha^-m mod p) with m = ceil(sqrt(p - 1)):
+    the baby-step table, which depends on the field alone. Keyed on the
+    exact pair, because every params load builds a new PrimeField; only
+    the last field's table is kept, and every caller shares it read-only."""
     m = math.isqrt(p - 2) + 1
     baby = {}
     acc = 1
@@ -209,7 +206,24 @@ def solve_dlog_bsgs(target: int, params: PrimeField) -> int:
         baby.setdefault(acc, j)
         acc = acc * alpha % p
     # acc is now alpha^m
-    giant = pow(acc, -1, p)
+    return m, baby, pow(acc, -1, p)
+
+
+def solve_dlog_bsgs(target: int, params: PrimeField) -> int:
+    """Smallest k with alpha^k = target in F_p, by baby-step giant-step.
+
+    The first solve in a field takes O(sqrt(p)) time and memory to build
+    the baby-step table; later solves in the same field reuse it and pay
+    only the giant steps, O(sqrt(p)) multiplies at most. Refuses p above
+    2^40, where the table stops being a desk-scale object.
+    """
+    p = params.p
+    if p > 1 << 40:
+        raise BadArguments("p above 2^40 is out of range for the table-based solver")
+    if target % p == 0:
+        raise NotInGroup("0 is outside the multiplicative group")
+    target %= p
+    m, baby, giant = _baby_steps(p, params.alpha)
     gamma = target
     for i in range(m):
         j = baby.get(gamma)

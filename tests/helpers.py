@@ -5,6 +5,7 @@ import dataclasses
 import struct
 
 from dlfvault._wire import pack_lpint
+from dlfvault.attacks import _draw
 from dlfvault.field import GF16_REDUCTION_POLY
 
 # 65,535 bytes, the widest integer a DLFK length prefix carries; even
@@ -76,6 +77,20 @@ def gf16_clmul(a, b):
         if a & 0x10000:
             a ^= GF16_REDUCTION_POLY
     return r
+
+
+def sample_distinct(seed, trial, n, r):
+    """Floyd's uniform n-subset of range(r), one element per draw of
+    attacks' seeded stream, at most 2^16 draws per trial; the reference
+    monte_carlo_rate's trials are tested against."""
+    base = trial << 16
+    taken = set()
+    for step, j in enumerate(range(r - n, r)):
+        x = _draw(seed, base + step, j + 1)
+        if x in taken:
+            x = j
+        taken.add(x)
+        yield x
 
 
 def no_pow(*args):

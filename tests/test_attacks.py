@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import spaced_set, with_framed_len
+from helpers import sample_distinct, spaced_set, with_framed_len
 from dlfvault import attacks
 from dlfvault.attacks import (
     CSV_HEADER,
@@ -17,7 +17,7 @@ from dlfvault.attacks import (
     published_poly_prob,
     solve_dlog_bsgs,
     sweep_csv,
-    _sample_distinct,
+    _baby_steps,
 )
 from dlfvault.dlog_codec import KeyFile
 from dlfvault.errors import BadArguments, KeyKindMismatch, MalformedFile, NotInGroup
@@ -66,14 +66,14 @@ def test_exact_prob_validates():
 
 def test_sample_distinct_is_uniform_shaped_and_pure():
     for trial in range(50):
-        sample = list(_sample_distinct(seed=9, trial=trial, n=4, r=12))
+        sample = list(sample_distinct(seed=9, trial=trial, n=4, r=12))
         assert len(set(sample)) == 4
         assert all(0 <= x < 12 for x in sample)
-        assert sample == list(_sample_distinct(seed=9, trial=trial, n=4, r=12))
-    assert (list(_sample_distinct(seed=9, trial=0, n=4, r=12))
-            != list(_sample_distinct(seed=10, trial=0, n=4, r=12))
-            or list(_sample_distinct(seed=9, trial=1, n=4, r=12))
-            != list(_sample_distinct(seed=10, trial=1, n=4, r=12)))
+        assert sample == list(sample_distinct(seed=9, trial=trial, n=4, r=12))
+    assert (list(sample_distinct(seed=9, trial=0, n=4, r=12))
+            != list(sample_distinct(seed=10, trial=0, n=4, r=12))
+            or list(sample_distinct(seed=9, trial=1, n=4, r=12))
+            != list(sample_distinct(seed=10, trial=1, n=4, r=12)))
 
 
 def test_monte_carlo_agrees_with_exact():
@@ -109,6 +109,20 @@ def test_monte_carlo_stream_is_pinned():
         assert rate == successes / trials
 
 
+def test_monte_carlo_counts_what_the_reference_sampler_counts():
+    # monte_carlo_rate's flat trial loop against Floyd's sampler in full:
+    # r - n < t makes the collision fallback x = j genuine, n = 0 and
+    # n = t = r are the edges, and the stream masks seeds of 2^64 and up
+    grid = [(10, 8, 5), (6, 5, 4), (12, 11, 9), (9, 4, 0), (7, 7, 7), (12, 6, 3),
+            (30, 10, 8), (5, 0, 0), (1, 1, 1)]
+    trials = 400
+    for r, t, n in grid:
+        for seed in (0, 3, (1 << 64) + 3, (1 << 80) - 1):
+            expected = sum(all(x < t for x in sample_distinct(seed, trial, n, r))
+                           for trial in range(trials))
+            assert monte_carlo_rate(r, t, n, trials, seed)[0] == expected / trials
+
+
 def test_monte_carlo_certain_cases():
     rate, _ = monte_carlo_rate(10, 10, 3, trials=1000, seed=2)
     assert rate == 1.0
@@ -126,7 +140,7 @@ def test_monte_carlo_validates():
 def test_monte_carlo_rejects_a_subset_size_beyond_the_draw_budget(monkeypatch):
     def no_trial(*args):
         raise AssertionError("a trial ran")
-    monkeypatch.setattr(attacks, "_sample_distinct", no_trial)
+    monkeypatch.setattr(attacks, "_draw", no_trial)
     with pytest.raises(BadArguments):
         monte_carlo_rate(1 << 16, 1 << 16, 1 << 16, 1, 0)
 
@@ -267,12 +281,33 @@ def test_bsgs_random_exponents_medium_field():
         assert solve_dlog_bsgs(pow(f.alpha, k, f.p), f) == k
 
 
+def test_bsgs_reuses_one_table_per_field(params32):
+    # alternating fields rebuilds the table each time, so a stale table
+    # would answer some solve with a wrong k
+    fields = [PrimeField(23, 5), gen_params(24, seed=77), params32]
+    rng = random.Random(80)
+    for f in fields * 2:
+        k = rng.randrange(f.p - 1)
+        assert solve_dlog_bsgs(pow(f.alpha, k, f.p), f) == k
+    misses = _baby_steps.cache_info().misses
+    k = rng.randrange(params32.p - 1)
+    assert solve_dlog_bsgs(pow(params32.alpha, k, params32.p), params32) == k
+    # a field equal to the cached one, built anew as a params load does
+    same = PrimeField(params32.p, params32.alpha)
+    assert solve_dlog_bsgs(params32.alpha, same) == 1
+    assert _baby_steps.cache_info().misses == misses
+
+
 def test_bsgs_not_in_group():
+    _baby_steps.cache_clear()
     with pytest.raises(NotInGroup):
         solve_dlog_bsgs(0, PrimeField(23, 5))
+    assert _baby_steps.cache_info().misses == 0
 
 
 def test_bsgs_rejects_huge_p():
     f = gen_params(41, seed=79)
+    _baby_steps.cache_clear()
     with pytest.raises(BadArguments):
         solve_dlog_bsgs(1, f)
+    assert _baby_steps.cache_info().misses == 0
