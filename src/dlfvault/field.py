@@ -25,6 +25,7 @@ reduction.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, prod
@@ -328,8 +329,12 @@ class BinaryField16:
     """GF(2^16) modulo GF16_REDUCTION_POLY, with log/exp tables over the
     generator x + 1.
 
-    Addition is xor. Multiplication and inversion go through the tables;
-    building them walks the full 65535-element orbit once, so share the
+    Addition is xor. Multiplication and inversion go through the tables,
+    two array("H")s of 2 bytes per entry, about 0.4 MB together (lists of
+    ints would take about 5 MB). _log has 65536 entries; _exp holds the
+    65535-element orbit of x + 1 twice over, so a product is
+    _exp[log a + log b] and an inverse _exp[65535 - log x], with no
+    reduction mod 65535. Building them walks the orbit once, so share the
     instance from binary_field() instead of constructing ad hoc.
     """
 
@@ -337,19 +342,26 @@ class BinaryField16:
 
     def __init__(self):
         order = self.size - 1
-        exp = [1] * order
-        log = [0] * self.size
+        exp = array("H", [0]) * order
+        log = array("H", [0]) * self.size
+        # memoryview stores and a step without a branch were the cheapest
+        # fill measured; bit 15 of acc is the bit x * acc carries out, and
+        # GF16_REDUCTION_POLY clears it
+        carry = (0, GF16_REDUCTION_POLY)
         acc = 1
-        for i in range(order):
-            exp[i] = acc
-            log[acc] = i
-            acc ^= acc << 1
-            if acc & 0x10000:
-                acc ^= GF16_REDUCTION_POLY
+        with memoryview(exp) as exp_view, memoryview(log) as log_view:
+            for i in range(order):
+                exp_view[i] = acc
+                log_view[acc] = i
+                acc ^= (acc << 1) ^ carry[acc >> 15]
         # x + 1 generates the multiplicative group exactly when its orbit
-        # first returns to 1 at step 65535; otherwise the tables are wrong
-        if acc != 1 or exp.count(1) != 1:
+        # first returns to 1 at step 65535; otherwise the tables are wrong.
+        # log[1] is the last step that stood on 1, so log[1] == 0 says 1
+        # appears once in the orbit, twice in the doubled _exp, without a
+        # scan of it
+        if acc != 1 or log[1] != 0:
             raise RuntimeError("x + 1 does not generate GF(2^16)*")
+        exp *= 2
         self._exp = exp
         self._log = log
 
@@ -361,12 +373,12 @@ class BinaryField16:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % 65535]
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
-        return self._exp[-self._log[x] % 65535]
+        return self._exp[65535 - self._log[x]]
 
 
 @lru_cache(maxsize=None)

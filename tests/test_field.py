@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import tracemalloc
 from math import gcd, prod
 
 import pytest
@@ -11,6 +12,7 @@ from dlfvault import field as field_module
 from dlfvault.errors import BadFactorization, MalformedFile, ZeroInverse
 from dlfvault.field import (
     GF16_REDUCTION_POLY,
+    BinaryField16,
     PrimeField,
     binary_field,
     gen_params,
@@ -19,6 +21,9 @@ from dlfvault.field import (
     params_from_file,
     params_to_file,
 )
+from dlfvault.identity import encode_identity
+from dlfvault.polynomial import lagrange_interpolate
+from dlfvault.vault import place_points
 
 
 def test_gen_params_five_bits_gives_the_only_safe_prime():
@@ -375,3 +380,54 @@ def test_gf16_distributive_random():
     for _ in range(500):
         a, b, c = (rng.randrange(1 << 16) for _ in range(3))
         assert gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
+
+
+def test_gf16_tables_are_two_byte_arrays_with_exp_stored_twice():
+    gf = binary_field()
+    exp, log = gf._exp, gf._log
+    assert exp.itemsize == 2 and log.itemsize == 2
+    assert len(exp) == 2 * 65535 and len(log) == 65536
+    assert exp[65535:] == exp[:65535]
+    for i in range(65535):
+        assert log[exp[i]] == i
+    assert exp.count(1) == 2
+
+
+@pytest.mark.parametrize("poly", [0x10003, 0x10001])
+def test_gf16_tables_refuse_a_polynomial_where_x_plus_1_does_not_generate(monkeypatch, poly):
+    # modulo x^16+x+1 the orbit of x + 1 returns to 1 after 255 steps, so
+    # it stands on 1 again at step 65535; modulo (x+1)^16 it never returns
+    monkeypatch.setattr(field_module, "GF16_REDUCTION_POLY", poly)
+    with pytest.raises(RuntimeError, match="does not generate"):
+        BinaryField16()
+
+
+def test_gf16_tables_peak_under_one_megabyte():
+    # lists of ints held about 5.2 MB; no such list may be built on the way
+    tracemalloc.start()
+    try:
+        BinaryField16()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_gf16_outputs_are_pinned():
+    # identity vaults placed and points interpolated over GF(2^16), byte
+    # for byte as computed with the tables held in Python lists
+    gf = binary_field()
+    h = hashlib.sha256()
+    for seed in range(4):
+        rng = random.Random(seed)
+        coeffs = encode_identity(rng.getrandbits(128), rng.getrandbits(64))
+        locking = rng.sample(range(1 << 16), 20)
+        points, _ = place_points(gf, coeffs, locking, 60, 0, seed)
+        for x, y in points:
+            h.update(x.to_bytes(2, "big") + y.to_bytes(2, "big"))
+    for n in (1, 2, 6, 13, 40):
+        rng = random.Random(100 + n)
+        xs = rng.sample(range(1 << 16), n)
+        for c in lagrange_interpolate(gf, [(x, rng.randrange(1 << 16)) for x in xs]):
+            h.update(c.to_bytes(2, "big"))
+    assert h.hexdigest() == "ac30633b911761c72a87f1db34dcde8d50a4f35e8a622d9b6c32029356a54296"
