@@ -8,13 +8,12 @@ MAX_P_BITS bits with alpha a primitive root; that is proven from the
 structure of p once per process, and later uses of the same (p, alpha)
 reuse it. The certificate is Pocklington's criterion for p with a
 Baillie-PSW test on q. Baillie-PSW has no proven error bound, but no
-composite is known to pass it and none below 2^64 does; the 64 seeded
-Miller-Rabin rounds it replaced had no proven bound against a chosen q
-either (see _is_safe_field, and Albrecht et al., "Prime and Prejudice",
-CCS 2018). gen_params finds q by a staged sieve on q and 2q + 1,
-cheapest stage first: a residue wheel modulo 3*5*7*11*13, one gcd of
-q(2q + 1) with the product of the primes below 1100, and one with the
-product of the primes from 1100 to 2^14. Then come strong
+composite is known to pass it and none below 2^64 does (see
+_is_safe_field, and Albrecht et al., "Prime and Prejudice", CCS 2018).
+gen_params finds q by a staged sieve on q and 2q + 1, cheapest stage
+first: a residue wheel modulo 3*5*7*11*13, one gcd of q(2q + 1) with
+the product of the primes below 1100, and one with the product of the
+primes from 1100 to 2^14. Then come strong
 probable-prime rounds to base 2 on q and 2q + 1, then that certificate.
 The sieve changes no output: see gen_params. GF(2^16) elements are ints
 in [0, 65536) interpreted as polynomials over GF(2), reduced mod the
@@ -33,8 +32,6 @@ from math import gcd, isqrt, prod
 from ._wire import check_end, pack_lpint, read_header, unpack_lpint
 from .errors import BadFactorization, MalformedFile, ZeroInverse
 
-# below this bound primality is decided by trial division alone
-_TRIAL_DIVISION_BOUND = 1 << 20
 # distinct (p, alpha) pairs whose safety verdict is remembered per process
 _PROVEN_FIELDS = 64
 # widest p: its certificate takes ~0.8 s at 4096 bits on CPython 3.11 (Baillie-PSW
@@ -51,8 +48,7 @@ def _sieve(limit):
     return [i for i in range(limit) if flags[i]]
 
 
-# 1100 > sqrt(2^20), so a number below the bound with none of these as a
-# factor is prime
+# is_prime's trial divisors, and gen_params' first gcd stage
 _SMALL_PRIMES = frozenset(_sieve(1100))
 _SMALL_PRIMORIAL = prod(_SMALL_PRIMES)
 
@@ -150,14 +146,14 @@ def _strong_lucas(n: int) -> bool:
 
 def is_prime(n: int) -> bool:
     """Primality test: trial division by every prime below 1100 as one gcd
-    with their product, which is exhaustive below 2^20; the Baillie-PSW
-    test above it, a strong probable-prime round to base 2 and then a
-    strong Lucas test."""
+    with their product, then the Baillie-PSW test, a strong probable-prime
+    round to base 2 and then a strong Lucas test. Baillie-PSW accepts every
+    prime and, below 2^64, rejects every composite."""
     if n < 2:
         return False
     if gcd(n, _SMALL_PRIMORIAL) != 1:
         return n in _SMALL_PRIMES
-    return n < _TRIAL_DIVISION_BOUND or (_strong_base2(n) and _strong_lucas(n))
+    return _strong_base2(n) and _strong_lucas(n)
 
 
 def is_primitive_root(candidate: int, p: int, factors: list[int]) -> bool:
@@ -199,13 +195,10 @@ def _is_safe_field(p: int, alpha: int) -> bool:
 
     Baillie-PSW has no proven error bound. No composite that passes it is
     known, and none exists below 2^64 (Gilchrist's check of Feitsma's list
-    of base-2 pseudoprimes). The 64 Miller-Rabin rounds it replaced drew
-    their bases from an rng seeded with q itself, so whoever chose q knew
-    every base, and no proven bound held against a chosen q either.
-    Albrecht, Massimo, Paterson & Somorovsky, "Prime and Prejudice"
-    (CCS 2018), build composites that pass Miller-Rabin with fixed or
-    predictable bases, and promote Baillie-PSW for numbers an adversary
-    may choose.
+    of base-2 pseudoprimes). Albrecht, Massimo, Paterson & Somorovsky,
+    "Prime and Prejudice" (CCS 2018), build composites that pass
+    Miller-Rabin with fixed or predictable bases, and promote Baillie-PSW
+    for numbers an adversary may choose.
     """
     if p.bit_length() > MAX_P_BITS or p % 2 == 0 or not 2 <= alpha <= p - 2:
         return False
@@ -330,12 +323,12 @@ class BinaryField16:
     generator x + 1.
 
     Addition is xor. Multiplication and inversion go through the tables,
-    two array("H")s of 2 bytes per entry, about 0.4 MB together (lists of
-    ints would take about 5 MB). _log has 65536 entries; _exp holds the
-    65535-element orbit of x + 1 twice over, so a product is
-    _exp[log a + log b] and an inverse _exp[65535 - log x], with no
-    reduction mod 65535. Building them walks the orbit once, so share the
-    instance from binary_field() instead of constructing ad hoc.
+    two array("H")s of 2 bytes per entry, about 0.4 MB together. _log
+    has 65536 entries; _exp holds the 65535-element orbit of x + 1 twice
+    over, so a product is _exp[log a + log b] and an inverse
+    _exp[65535 - log x], with no reduction mod 65535. Building them walks
+    the orbit once, so share the instance from binary_field() instead of
+    constructing ad hoc.
     """
 
     size = 1 << 16

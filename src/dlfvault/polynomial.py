@@ -8,13 +8,14 @@ scheme parameter, not degree, so leading zeros are legitimate.
 Over a PrimeField the kernels run on plain ints modulo p, and an
 interpolation inverts its n denominators together with one modular
 inverse (Montgomery's batch inversion). A walk over the n-subsets of
-some points (subset_interpolants) interpolates its first subset outright.
-From one subset to the next it drops the points that leave, then adds
-those that enter in Newton's form: O(n) per point dropped or added, plus
-one modular inverse per added point, and no fallback. Any other field, in
-practice the GF(2^16) of the identity binding, goes through its
-add/sub/mul/inv methods, interpolates by that same add step, walks every
-subset by an outright interpolation and has no decoder.
+some points (subset_interpolants) takes them in itertools.combinations
+order and interpolates the first outright. From one subset to the next,
+whatever the order, it drops the points that leave, then adds those that
+enter in Newton's form: O(n) per point dropped or added, plus one
+modular inverse per added point. Any other field, in practice the
+GF(2^16) of the identity binding, goes through its add/sub/mul/inv
+methods, interpolates by that same add step, walks every subset by an
+outright interpolation and has no decoder.
 """
 
 from __future__ import annotations
@@ -113,49 +114,39 @@ def subset_interpolants(field, points, n):
     itertools.combinations(points, n), in that order.
 
     Over a PrimeField the first subset is interpolated outright, with its
-    master M = prod (X - x). In lexicographic order each later subset
-    differs from the one before only in a suffix. Each point a that leaves
-    is dropped first, M = M / (X - a), with P kept; then each (x, y) that
-    enters is added in Newton's form, P += M * (y - P(x)) / M(x) and
-    M *= (X - x). Each step is O(n), and each added point costs one
-    modular inverse. Every set passed through lies inside the new subset,
-    so M(x) is 0 exactly when that subset repeats an x mod p, and the walk
-    raises ZeroInverse there, as one interpolation per subset would. Other
-    fields interpolate every subset outright.
+    master M = prod (X - x). From one subset to the next, whatever their
+    order, each point a that leaves is dropped first, M = M / (X - a),
+    with P kept; then each (x, y) that enters is added in Newton's form,
+    P += M * (y - P(x)) / M(x) and M *= (X - x). Each step is O(n), and
+    each added point costs one modular inverse. Every set passed through
+    lies between the points both subsets share and the new subset, so
+    M(x) is 0 exactly when the new subset repeats an x mod p, and the walk
+    raises ZeroInverse there, as one interpolation per subset would.
+    Other fields interpolate every subset outright.
     """
     if not isinstance(field, PrimeField):
         for subset in combinations(points, n):
             yield lagrange_interpolate(field, subset)
         return
     points = list(points)
-    m, p = len(points), field.p
-    if n > m:
+    p = field.p
+    subsets = combinations(range(len(points)), n)
+    first = next(subsets, None)
+    if first is None:
         return
-    poly = lagrange_interpolate(field, points[:n])
-    master = _product_mod_p(p, [x for x, _ in points[:n]])
-    chosen = list(range(n))
-    while True:
-        yield poly
-        # the rightmost position that can still advance, as combinations does
-        i = n - 1
-        while i >= 0 and chosen[i] == m - n + i:
-            i -= 1
-        if i < 0:
-            return
-        old, new = chosen[i:], range(chosen[i] + 1, chosen[i] + 1 + n - i)
-        chosen[i:] = new
-        for j in old:
-            if j in new:
-                continue
+    poly = lagrange_interpolate(field, [points[j] for j in first])
+    master = _product_mod_p(p, [points[j][0] for j in first])
+    held = set(first)
+    yield poly
+    for entering in map(set, subsets):
+        for j in held - entering:
             # master / (X - a) by synthetic division, high to low
             a, carry, quotient = points[j][0], 0, []
             for c in reversed(master[1:]):
                 carry = (carry * a + c) % p
                 quotient.append(carry)
             master = quotient[::-1]
-        for j in new:
-            if j in old:
-                continue
+        for j in entering - held:
             x, y = points[j]
             px = mx = 0
             for c in reversed(poly):
@@ -167,6 +158,8 @@ def subset_interpolants(field, points, n):
             scale = (y - px) * pow(mx, -1, p) % p
             poly = [(c + scale * q) % p for c, q in zip(poly, master)] + poly[len(master):]
             master = [(lo - x * hi) % p for lo, hi in zip([0] + master, master + [0])]
+        held = entering
+        yield poly
 
 
 def rs_decode(field: PrimeField, points: list[tuple[int, int]],

@@ -2,7 +2,8 @@
 matching, subset search, lock/unlock and the DLFV format; dlog_codec
 maps messages to coefficients and back. Unlock decodes the matches as a
 Reed-Solomon codeword and walks subsets only when that finds nothing.
-The walk updates one interpolant from subset to subset, dropping the
+The walk takes subsets in itertools.combinations order and updates one
+interpolant from subset to subset, whatever the order, dropping the
 points that leave and then adding those that enter
 (polynomial.subset_interpolants), not one interpolation per subset.
 
@@ -240,11 +241,12 @@ def match_points(vault: Vault, unlocking_set) -> list[tuple[int, int]]:
 
 
 def subset_search(field, candidates, coeff_count, decode, max_subsets):
-    """Interpolate at most max_subsets candidate subsets in lexicographic
-    x order until decode accepts one; returns (decoded value or None,
-    subsets tried). subset_interpolants walks them: over F_p one outright
-    interpolation, then O(n) per point dropped or added and one modular
-    inverse per added point.
+    """Interpolate at most max_subsets candidate subsets in
+    itertools.combinations order, lexicographic in x, until decode
+    accepts one; returns (decoded value or None, subsets tried).
+    subset_interpolants walks them: over F_p one outright interpolation,
+    then, from each subset to the next, O(n) per point that leaves or
+    enters and one modular inverse per point that enters.
 
     This is the paper's attack model and identity binding's search, and
     unlock's fallback beyond the Reed-Solomon decoding radius; max_subsets

@@ -51,12 +51,13 @@ def test_is_prime_matches_trial_division_oracle():
 
 
 def test_is_prime_at_the_trial_division_bound():
-    # 2^20 is where the gcd with the small primes stops deciding alone
+    # below 2^20 a number with no prime factor under 1100 is prime, and
+    # Baillie-PSW must accept it; above, it must reject the composites
     for n in range(2 ** 20 - 3000, 2 ** 20 + 3001):
         assert is_prime(n) == _trial_division_oracle(n), n
     assert is_prime(1048573)  # the largest prime below 2^20
-    # the smallest composites with no prime factor up to 1097; both lie
-    # above 2^20, so only Miller-Rabin can reject them
+    # the smallest composites with no prime factor up to 1097, so only
+    # Baillie-PSW can reject them
     assert not is_prime(1103 * 1103)
     assert not is_prime(1103 * 1109)
 

@@ -158,12 +158,16 @@ def test_chaff_hits_past_the_radius_fall_back_to_subset_search(eleven_coefficien
 
 
 def test_an_impostor_still_walks_its_subset_budget(eleven_coefficient_vault):
+    # 10 genuine and 5 chaff: m = 15, radius 2, and no 11-subset is genuine,
+    # so the walk stops at the budget or after all C(15, 11) subsets
     vault, _, A, chaff = eleven_coefficient_vault
     rng = random.Random(74)
     probe = rng.sample(A, 10) + rng.sample(chaff, 5)
-    with pytest.raises(DecodeFailed) as exc_info:
-        unlock(vault, probe, max_subsets=40)
-    assert "40" in str(exc_info.value)
+    # the second call keeps unlock's default budget
+    for budget, tried in (({"max_subsets": 40}, 40), ({}, math.comb(15, 11))):
+        with pytest.raises(DecodeFailed) as exc_info:
+            unlock(vault, probe, **budget)
+        assert f"no subset of {tried} tried" in str(exc_info.value)
 
 
 def test_match_points_nearest_within_delta(params64):
