@@ -15,11 +15,15 @@ one power per exponent, so a message's masks cost one power under a
 single key and two under a parity key, whatever its segment count.
 
 alpha is fixed within a field, so every power comes from a fixed-base
-window table (Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92), not
-from the builtin pow: row i holds alpha^(d * 16^i) for d in 0..15, and
-alpha^e is one multiply mod p per nonzero 4-bit digit of e, about 240 at
-1024 bits where pow squares 1,024 times. e is first reduced mod p - 1,
-which is exact because alpha has order p - 1 in every certified field.
+comb (Lim and Lee, CRYPTO '94), not from the builtin pow. e is first
+reduced mod p - 1, which is exact because alpha has order p - 1 in every
+certified field, and read as 8 blocks of a bits, a = ceil(p_bits / 8)
+rounded up to a multiple of 16. Column j's 8-bit index holds bit j of
+each block. Sub-table s holds, for each subset of the 8 blocks, the
+product of alpha^(2^(a*k + 16*s)) over its blocks k, and serves columns
+16*s to 16*s + 15. alpha^e is then 16 squarings and one multiply mod p
+per nonzero column: about 143 at 1024 bits, from 2,048 entries, where
+pow squares 1,024 times.
 A field's table is built at its first mask power, never at import or
 load, and is shared by every PrimeField of the same (p, alpha), so a
 vault loaded from bytes reuses the table lock built.
@@ -60,10 +64,13 @@ _CODE_SIZES = (1, 2, 0)
 
 _SEGMENT_MASKED = (Scheme.PER_SEGMENT, Scheme.PARITY)
 
-# bits of exponent per row of a field's power table
-_WINDOW_BITS = 4
+# squarings per comb power, one per row; each sub-table serves one
+# column of every row
+_COMB_ROWS = 16
+# '0'/'1' -> byte 0/1
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 # distinct (p, alpha) pairs whose power table is kept per process; a
-# 1024-bit table takes about 0.6 MB, a MAX_P_BITS one about 9 MB
+# 1024-bit table takes about 0.35 MB, a MAX_P_BITS one about 4.7 MB
 _TABLE_FIELDS = 4
 
 
@@ -85,30 +92,50 @@ def gen_key(params: PrimeField, scheme: Scheme, seed: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=_TABLE_FIELDS)
 def _power_table(p: int, alpha: int) -> tuple[tuple[int, ...], ...]:
-    """Row i holds alpha^(d * 2^(_WINDOW_BITS * i)) mod p for each digit d,
-    one row per digit of a p_bits-wide exponent. Keyed on the exact pair,
-    because every vault load builds a new PrimeField."""
-    rows, base = [], alpha
-    for _ in range(-(-p.bit_length() // _WINDOW_BITS)):
-        row = [1]
-        for _ in range((1 << _WINDOW_BITS) - 1):
-            row.append(row[-1] * base % p)
-        rows.append(tuple(row))
-        base = row[-1] * base % p
-    return tuple(rows)
+    """Sub-table s holds, at each 8-bit index I, the product over I's set
+    bits k of alpha^(2^(a*k + _COMB_ROWS*s)) mod p, where a, the bits per
+    block, is ceil(p_bits / 8) rounded up to a multiple of _COMB_ROWS:
+    one chain of squarings, then one multiply per index with two or more
+    set bits. Keyed on the exact pair, because every vault load builds a
+    new PrimeField."""
+    a = -(-p.bit_length() // (8 * _COMB_ROWS)) * _COMB_ROWS
+    chain = [alpha]
+    for _ in range(8 * a - _COMB_ROWS):
+        chain.append(chain[-1] * chain[-1] % p)
+    tables = []
+    for column in range(0, a, _COMB_ROWS):
+        table = [1]
+        for k in range(8):
+            base = chain[a * k + column]
+            table += [base] + [t * base % p for t in table[1:]]
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 def _alpha_power(params: PrimeField, e: int) -> int:
     """alpha^e mod p, equal to pow(alpha, e, p) for every e >= 0: e mod
     p - 1 gives the same power, because alpha has order p - 1, and it
-    fits the table's rows, because p - 1 < 2^p_bits."""
-    p, mask = params.p, (1 << _WINDOW_BITS) - 1
-    e %= p - 1
+    fits the comb's 8 blocks of a bits, because p - 1 < 2^p_bits. Column
+    j's index holds bit j of each block. Row t multiplies in, from each
+    sub-table s, the entry at column _COMB_ROWS*s + t's index, and
+    Horner's rule over the rows, from the last down, squares once per
+    row."""
+    p = params.p
+    tables = _power_table(p, params.alpha)
+    a = _COMB_ROWS * len(tables)
+    bits = format(e % (p - 1), f"0{8 * a}b").encode().translate(_BIT_BYTES)
+    # block k is bits[a*(7-k):a*(8-k)], most significant bit first, so
+    # read big-endian it holds bit j of block k in byte j
+    z = 0
+    for k in range(8):
+        z |= int.from_bytes(bits[a * (7 - k):a * (8 - k)], "big") << k
+    columns = z.to_bytes(a, "little")
     acc = 1
-    for row in _power_table(p, params.alpha):
-        if e & mask:
-            acc = acc * row[e & mask] % p
-        e >>= _WINDOW_BITS
+    for t in reversed(range(_COMB_ROWS)):
+        acc = acc * acc % p
+        for table, i in zip(tables, columns[t::_COMB_ROWS]):
+            if i:
+                acc = acc * table[i] % p
     return acc
 
 

@@ -14,7 +14,7 @@ from dlfvault.errors import (
     MessageTooLarge,
     SignatureMismatch,
 )
-from dlfvault.field import PrimeField
+from dlfvault.field import PrimeField, gen_params
 from dlfvault.framing import frame, segment
 from dlfvault.vault import lock, unlock
 from helpers import (
@@ -195,16 +195,49 @@ def test_lock_and_unlock_compute_one_power_per_exponent(params256, monkeypatch, 
     assert builtin.powers == 0
 
 
-@pytest.mark.parametrize("bits", [64, 256, 1024])
-def test_table_power_equals_the_builtin_pow(bits, params64, params256):
-    f = {64: params64, 256: params256, 1024: PrimeField(OAKLEY_1024, 5)}[bits]
+@pytest.mark.parametrize("bits", [5, 9, 17, 31, 47, 64, 70, 128, 256, 1024])
+def test_table_power_equals_the_builtin_pow(bits, params64, params128, params256):
+    fixed = {64: params64, 128: params128, 256: params256, 1024: PrimeField(OAKLEY_1024, 5)}
+    f = fixed[bits] if bits in fixed else gen_params(bits, seed=bits)
     p = f.p
     rng = random.Random(bits)
-    all_fifteen = (1 << 4 * -(-f.p_bits // 4)) - 1
-    exponents = [0, 1, 2, p - 2, p - 1, p, 3 * (p - 1) + 5, all_fifteen]
+    # the comb reads 8 blocks of ceil(p_bits / 8) bits, rounded up to 16
+    all_ones = (1 << 8 * -(-f.p_bits // 128) * 16) - 1
+    exponents = [0, 1, 2, p - 2, p - 1, p, 3 * (p - 1) + 5, all_ones]
     exponents += [rng.randrange(4 * p) for _ in range(100)]
     for e in exponents:
         assert dlog_codec._alpha_power(f, e) == pow(f.alpha, e, p), e
+    # one set bit lands in one block and one column: a mix-up of either shows
+    power = f.alpha
+    for q in range(f.p_bits):
+        assert dlog_codec._alpha_power(f, 1 << q) == power, q
+        power = power * power % p
+
+
+class CountingModulus(int):
+    """A modulus that counts the reductions mod itself, one per multiply
+    mod p in the codec."""
+
+    def __rmod__(self, other):
+        self.reductions += 1
+        return other % int(self)
+
+
+def test_a_1024_bit_power_takes_at_most_144_multiplies_from_2048_entries():
+    dlog_codec._power_table.cache_clear()
+    f = SimpleNamespace(p=CountingModulus(OAKLEY_1024), alpha=5)
+    f.p.reductions = 0
+    table = dlog_codec._power_table(f.p, f.alpha)
+    # 8 * 128 - 16 squarings, then 247 multiplies per sub-table of 256
+    assert f.p.reductions == 8 * 128 - 16 + 8 * 247
+    assert sum(map(len, table)) <= 2048
+    rng = random.Random(62)
+    for e in [OAKLEY_1024 - 2] + [rng.randrange(OAKLEY_1024) for _ in range(20)]:
+        f.p.reductions = 0
+        assert dlog_codec._alpha_power(f, e) == pow(5, e, OAKLEY_1024)
+        # 16 squarings, and one multiply per nonzero column of 128
+        assert f.p.reductions <= 16 + 128
+    dlog_codec._power_table.cache_clear()
 
 
 def test_key_file_roundtrip_all_kinds(params64):

@@ -20,7 +20,7 @@ from dlfvault.errors import (
     MalformedFile,
     NotEnoughMatches,
 )
-from dlfvault.field import gen_params, params_to_file
+from dlfvault.field import gen_params, params_from_file, params_to_file
 from dlfvault.framing import frame, segment
 from dlfvault.polynomial import eval_poly, lagrange_interpolate
 from dlfvault.vault import (
@@ -550,6 +550,22 @@ def test_a_loaded_field_reuses_its_power_table(params256):
     assert dlog_codec._power_table.cache_info().currsize == dlog_codec._TABLE_FIELDS
     assert unlock_loaded(*locked[0]) == b"table"
     assert dlog_codec._power_table.cache_info().misses == 2 + dlog_codec._TABLE_FIELDS
+
+
+def test_loading_a_field_or_a_vault_builds_no_power_table(params256):
+    A = spaced_set(random.Random(63), params256.p, 12, delta=0)
+    vault, key_file = lock(b"load", A, Scheme.PARITY, params256, chaff_count=5,
+                           seed=23, seg_bits=32)
+    params_bytes, vault_bytes, key_bytes = (params_to_file(params256), vault.to_bytes(),
+                                            key_file.to_bytes())
+    dlog_codec._power_table.cache_clear()
+    params_from_file(params_bytes)
+    loaded, loaded_key = Vault.from_bytes(vault_bytes), KeyFile.from_bytes(key_bytes)
+    info = dlog_codec._power_table.cache_info()
+    assert info.misses == info.hits == info.currsize == 0
+    # the table is built at the first mask power, which unlock computes
+    assert unlock(loaded, A, loaded_key) == b"load"
+    assert dlog_codec._power_table.cache_info().misses == 1
 
 
 def test_whole_message_chunk_count(params256):
