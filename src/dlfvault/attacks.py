@@ -71,8 +71,10 @@ def monte_carlo_rate(r: int, t: int, n: int, trials: int, seed: int) -> tuple[fl
     range(r - n + s + 1), at draw index (trial << 16) + s, and takes
     r - n + s instead when x is already taken. A trial fails at its
     first chaff draw (an index at or above t): Floyd's sampler only adds
-    elements, so later draws cannot change the verdict. Each trial is a
-    pure function of (seed, trial index).
+    elements, so later draws cannot change the verdict. Step 0 cannot
+    collide, so no set of taken indices is built before the second
+    draw, and a trial whose first draw is chaff builds none. Each trial
+    is a pure function of (seed, trial index).
     """
     if not 0 <= n <= t <= r:
         raise BadArguments(f"need 0 <= n <= t <= r, got r={r} t={t} n={n}")
@@ -80,13 +82,19 @@ def monte_carlo_rate(r: int, t: int, n: int, trials: int, seed: int) -> tuple[fl
         raise BadArguments("trials must be positive")
     if n.bit_length() > 16:
         raise BadArguments("subset size does not fit the per-trial draw budget")
+    if n == 0:
+        # no draw at all: the empty subset is all genuine
+        return 1.0, 0.0
     first = r - n + 1
     successes = 0
     for trial in range(trials):
         base = trial << 16
+        x = _draw(seed, base, first)
+        if x >= t:
+            continue
         # a set, not an int bitmask: a bitmask's updates cost O(t) each
-        taken = set()
-        for step in range(n):
+        taken = {x}
+        for step in range(1, n):
             x = _draw(seed, base + step, first + step)
             if x in taken:
                 x = first + step - 1
@@ -195,27 +203,34 @@ def brute_force_unlock_attack(vault: Vault, key_file: KeyFile | None = None,
 
 @lru_cache(maxsize=1)
 def _baby_steps(p: int, alpha: int) -> tuple[int, dict[int, int], int]:
-    """(m, {alpha^j: j for j < m}, alpha^-m mod p) with m = ceil(sqrt(p - 1)):
-    the baby-step table, which depends on the field alone. Keyed on the
-    exact pair, because every params load builds a new PrimeField; only
-    the last field's table is kept, and every caller shares it read-only."""
-    m = math.isqrt(p - 2) + 1
+    """(m, {g^j: j for j < m}, g^-m mod p) for g = alpha^2, which
+    generates the order-q subgroup of squares (p = 2q + 1), with
+    m = ceil(sqrt(q)): the baby-step table, which depends on the field
+    alone. Keyed on the exact pair, because every params load builds a
+    new PrimeField; only the last field's table is kept, and every
+    caller shares it read-only."""
+    m = math.isqrt(p // 2 - 1) + 1
+    g = alpha * alpha % p
     baby = {}
     acc = 1
     for j in range(m):
-        baby.setdefault(acc, j)
-        acc = acc * alpha % p
-    # acc is now alpha^m
+        baby[acc] = j
+        acc = acc * g % p
+    # acc is now g^m
     return m, baby, pow(acc, -1, p)
 
 
 def solve_dlog_bsgs(target: int, params: PrimeField) -> int:
-    """Smallest k with alpha^k = target in F_p, by baby-step giant-step.
+    """Smallest k with alpha^k = target in F_p, by Pohlig-Hellman over
+    p - 1 = 2q and baby-step giant-step in the subgroup of order q.
 
-    The first solve in a field takes O(sqrt(p)) time and memory to build
-    the baby-step table; later solves in the same field reuse it and pay
-    only the giant steps, O(sqrt(p)) multiplies at most. Refuses p above
-    2^40, where the table stops being a desk-scale object.
+    Euler's criterion gives k's parity b: target^q is 1 for even k and
+    -1 for odd. target / alpha^b = g^e for g = alpha^2 and e < q, which
+    BSGS finds, and k = 2e + b. The first solve in a field takes
+    O(sqrt(q)) time and memory to build the baby-step table; later
+    solves in the same field reuse it and pay only the giant steps,
+    O(sqrt(q)) multiplies at most. Refuses p above 2^40, where the table
+    stops being a desk-scale object.
     """
     p = params.p
     if p > 1 << 40:
@@ -224,10 +239,11 @@ def solve_dlog_bsgs(target: int, params: PrimeField) -> int:
         raise NotInGroup("0 is outside the multiplicative group")
     target %= p
     m, baby, giant = _baby_steps(p, params.alpha)
-    gamma = target
+    b = int(pow(target, p // 2, p) != 1)
+    gamma = target * pow(params.alpha, -b, p) % p
     for i in range(m):
         j = baby.get(gamma)
         if j is not None:
-            return i * m + j
+            return 2 * (i * m + j) + b
         gamma = gamma * giant % p
     raise NotInGroup(f"{target} is not a power of alpha")

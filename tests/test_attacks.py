@@ -103,6 +103,14 @@ def test_monte_carlo_stream_is_pinned():
         ((9, 4, 0, 10, 2), 10),
         # r - n < t: a collision's fallback x = j can still be genuine
         ((10, 8, 5, 20000, 3), 4419),
+        # attack-analysis's shapes, where most trials end at their first
+        # draw; at this trial count they succeed in none
+        ((30, 10, 8, 10000, 11), 0),
+        ((40, 10, 8, 10000, 11), 0),
+        ((50, 10, 8, 10000, 11), 0),
+        # most trials end at the first draw here too, but not all fail
+        ((30, 10, 2, 10000, 11), 1051),
+        ((40, 10, 3, 10000, 11), 109),
     ]
     for (r, t, n, trials, seed), successes in pinned:
         rate, _ = monte_carlo_rate(r, t, n, trials, seed)
@@ -268,9 +276,27 @@ def test_brute_force_respects_cap(params64):
 
 
 def test_bsgs_exhaustive_tiny_field():
-    f = PrimeField(23, 5)
-    for k in range(22):
-        assert solve_dlog_bsgs(pow(5, k, f.p), f) == k
+    # every k in [0, p - 1): both parities, k = q (target p - 1), and
+    # targets given as target + p; p = 5 has an even q
+    fields = [PrimeField(5, 2), PrimeField(7, 3), PrimeField(23, 5), PrimeField(47, 5)]
+    fields += [gen_params(bits, seed=81) for bits in (8, 11, 14)]
+    for f in fields:
+        assert solve_dlog_bsgs(f.p - 1, f) == f.p // 2
+        for k in range(f.p - 1):
+            target = pow(f.alpha, k, f.p)
+            assert solve_dlog_bsgs(target, f) == k
+            assert solve_dlog_bsgs(target + f.p, f) == k
+
+
+def test_bsgs_table_spans_the_subgroup_of_squares(params32):
+    # m = ceil(sqrt(q)) powers of alpha^2: about 1/sqrt(2) of the
+    # ceil(sqrt(p - 1)) powers of alpha a full-group table would hold
+    p, alpha = params32.p, params32.alpha
+    m, baby, giant = _baby_steps(p, alpha)
+    assert m == math.isqrt(p // 2 - 1) + 1
+    assert len(baby) == m
+    assert baby[alpha * alpha % p] == 1
+    assert giant * pow(alpha, 2 * m, p) % p == 1
 
 
 def test_bsgs_random_exponents_medium_field():
