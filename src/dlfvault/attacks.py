@@ -53,13 +53,13 @@ def exact_success_prob(r: int, t: int, n: int) -> Fraction:
     return Fraction(math.comb(t, n), math.comb(r, n))
 
 
-def _draw(seed: int, index: int, bound: int) -> int:
-    # splitmix64 of (seed, index): a pure function, so trials are
-    # independent of iteration order and can be recomputed or partitioned
-    z = ((seed & _MASK64) * 0xD1342543DE82EF95 + index + 1) & _MASK64
+def _splitmix64(z: int) -> int:
+    # splitmix64's output function of a 64-bit state: with the state a
+    # pure function of (seed, index), trials are independent of iteration
+    # order and can be recomputed or partitioned
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return (z ^ (z >> 31)) % bound
+    return z ^ (z >> 31)
 
 
 def monte_carlo_rate(r: int, t: int, n: int, trials: int, seed: int) -> tuple[float, float]:
@@ -68,8 +68,10 @@ def monte_carlo_rate(r: int, t: int, n: int, trials: int, seed: int) -> tuple[fl
     Treats the genuine points as indices 0..t-1, which costs no
     generality under uniform sampling. Each trial draws a uniform
     n-subset of range(r) by Floyd's algorithm: step s draws x from
-    range(r - n + s + 1), at draw index (trial << 16) + s, and takes
-    r - n + s instead when x is already taken. A trial fails at its
+    range(r - n + s + 1), at draw index i = (trial << 16) + s, and takes
+    r - n + s instead when x is already taken. Draw i is splitmix64's
+    output at state z0 + i mod 2^64, with z0 = (seed mod 2^64) *
+    0xD1342543DE82EF95 + 1 computed once per call. A trial fails at its
     first chaff draw (an index at or above t): Floyd's sampler only adds
     elements, so later draws cannot change the verdict. Step 0 cannot
     collide, so no set of taken indices is built before the second
@@ -86,16 +88,17 @@ def monte_carlo_rate(r: int, t: int, n: int, trials: int, seed: int) -> tuple[fl
         # no draw at all: the empty subset is all genuine
         return 1.0, 0.0
     first = r - n + 1
+    z0 = ((seed & _MASK64) * 0xD1342543DE82EF95 + 1) & _MASK64
     successes = 0
     for trial in range(trials):
-        base = trial << 16
-        x = _draw(seed, base, first)
+        z = z0 + (trial << 16)
+        x = _splitmix64(z & _MASK64) % first
         if x >= t:
             continue
         # a set, not an int bitmask: a bitmask's updates cost O(t) each
         taken = {x}
         for step in range(1, n):
-            x = _draw(seed, base + step, first + step)
+            x = _splitmix64((z + step) & _MASK64) % (first + step)
             if x in taken:
                 x = first + step - 1
             if x >= t:

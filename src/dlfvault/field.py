@@ -276,9 +276,15 @@ def gen_params(bits: int, seed: int) -> PrimeField:
     """
     if not 5 <= bits <= MAX_P_BITS:
         raise ValueError(f"bits must lie in [5, {MAX_P_BITS}], not {bits}")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    top = 1 << (bits - 2)
     while True:
-        q = rng.randrange(1 << (bits - 2), 1 << (bits - 1)) | 1
+        # randrange(top, 2 * top) inlined: it redraws getrandbits(bits - 1)
+        # while the value is top or more, then adds top
+        q = getrandbits(bits - 1)
+        if q >= top:
+            continue
+        q |= top | 1
         if q > _SIEVE_BOUND:
             if not _WHEEL_ALLOWED[q % _WHEEL]:
                 continue

@@ -11,16 +11,16 @@ inverse (Montgomery's batch inversion). A walk over the n-subsets of
 some points (subset_interpolants) takes them in itertools.combinations
 order and interpolates the first outright. From one subset to the next,
 whatever the order, it drops the points that leave, then adds those that
-enter in Newton's form: O(n) per point dropped or added, plus one
-modular inverse per added point. Any other field, in practice the
-GF(2^16) of the identity binding, goes through its add/sub/mul/inv
-methods, interpolates by that same add step, walks every subset by an
-outright interpolation and has no decoder.
+enter in Newton's form: O(n) per point dropped or added, and one modular
+inverse per run of up to 32 subsets for all the points that run adds.
+Any other field, in practice the GF(2^16) of the identity binding, goes
+through its add/sub/mul/inv methods, interpolates by that same add step,
+walks every subset by an outright interpolation and has no decoder.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 from operator import mul
 
 from .errors import ZeroInverse
@@ -28,6 +28,10 @@ from .field import PrimeField
 
 # the identity binding's CRC-16: X^16 + X^15 + X^2 + 1
 CRC16_GENERATOR = 0x18005
+
+# the longest run of subsets whose added points subset_interpolants
+# inverts together; a longer run saved no time and held more masters
+_RUN_CAP = 32
 
 
 def eval_poly(field, coeffs: list[int], x: int) -> int:
@@ -92,21 +96,28 @@ def _interpolate_mod_p(field: PrimeField, points: list[tuple[int, int]],
         quotients.append(q)
         # q(x) = prod_{j != i} (x_i - x_j)
         denoms.append(eval_poly(field, q, x))
-    # Montgomery: invert the product of all denominators once, then peel
-    # each inverse off it with the prefix products
+    scales = [y * inverse % p for (_, y), inverse in zip(points, _inverses_mod_p(denoms, p))]
+    return [sum(map(mul, column, scales)) % p for column in zip(*quotients)]
+
+
+def _inverses_mod_p(values: list[int], p: int) -> list[int]:
+    """The inverse mod p of each value, by Montgomery's batch inversion:
+    one modular inverse of their product, then each inverse peeled off it
+    with the prefix products, three multiplies per value. A value 0 mod
+    p raises ZeroInverse."""
     prefix = []
     acc = 1
-    for d in denoms:
+    for v in values:
         prefix.append(acc)
-        acc = acc * d % p
+        acc = acc * v % p
     if acc == 0:
         raise ZeroInverse("two interpolation x values are equal mod p")
     acc = pow(acc, -1, p)
-    scales = [0] * n
-    for i in range(n - 1, -1, -1):
-        scales[i] = points[i][1] * acc * prefix[i] % p
-        acc = acc * denoms[i] % p
-    return [sum(map(mul, column, scales)) % p for column in zip(*quotients)]
+    inverses = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        inverses[i] = acc * prefix[i] % p
+        acc = acc * values[i] % p
+    return inverses
 
 
 def subset_interpolants(field, points, n):
@@ -117,12 +128,16 @@ def subset_interpolants(field, points, n):
     master M = prod (X - x). From one subset to the next, whatever their
     order, each point a that leaves is dropped first, M = M / (X - a),
     with P kept; then each (x, y) that enters is added in Newton's form,
-    P += M * (y - P(x)) / M(x) and M *= (X - x). Each step is O(n), and
-    each added point costs one modular inverse. Every set passed through
-    lies between the points both subsets share and the new subset, so
-    M(x) is 0 exactly when the new subset repeats an x mod p, and the walk
-    raises ZeroInverse there, as one interpolation per subset would.
-    Other fields interpolate every subset outright.
+    P += M * (y - P(x)) / M(x) and M *= (X - x). Each step is O(n). The
+    masters need no inverse, so the walk takes the subsets in runs of 1,
+    2, 4, ... and at most _RUN_CAP: it first steps M alone through the
+    whole run, keeping each M(x), then inverts them all with one modular
+    inverse, then steps P and yields each subset. Every set passed
+    through lies between the points both subsets share and the new
+    subset, so M(x) is 0 exactly when the new subset repeats an x mod p.
+    The walk then yields the subsets before it and raises ZeroInverse,
+    as one interpolation per subset would. Other fields interpolate every
+    subset outright.
     """
     if not isinstance(field, PrimeField):
         for subset in combinations(points, n):
@@ -138,28 +153,49 @@ def subset_interpolants(field, points, n):
     master = _product_mod_p(p, [points[j][0] for j in first])
     held = set(first)
     yield poly
-    for entering in map(set, subsets):
-        for j in held - entering:
-            # master / (X - a) by synthetic division, high to low
-            a, carry, quotient = points[j][0], 0, []
-            for c in reversed(master[1:]):
-                carry = (carry * a + c) % p
-                quotient.append(carry)
-            master = quotient[::-1]
-        for j in entering - held:
-            x, y = points[j]
-            px = mx = 0
-            for c in reversed(poly):
-                px = (px * x + c) % p
-            for c in reversed(master):
-                mx = (mx * x + c) % p
-            if not mx:
-                raise ZeroInverse("two interpolation x values are equal mod p")
-            scale = (y - px) * pow(mx, -1, p) % p
-            poly = [(c + scale * q) % p for c, q in zip(poly, master)] + poly[len(master):]
-            master = [(lo - x * hi) % p for lo, hi in zip([0] + master, master + [0])]
-        held = entering
-        yield poly
+    run = 1
+    while True:
+        # the masters alone: each subset's adds as (x, y, M before the add)
+        planned, values, repeats = [], [], False
+        for entering in map(set, islice(subsets, run)):
+            for j in held - entering:
+                # master / (X - a) by synthetic division, high to low
+                a, carry, quotient = points[j][0], 0, []
+                for c in reversed(master[1:]):
+                    carry = (carry * a + c) % p
+                    quotient.append(carry)
+                master = quotient[::-1]
+            adds = []
+            for j in entering - held:
+                x, y = points[j]
+                mx = 0
+                for c in reversed(master):
+                    mx = (mx * x + c) % p
+                if not mx:
+                    repeats = True
+                    break
+                adds.append((x, y, master))
+                values.append(mx)
+                master = [(lo - x * hi) % p for lo, hi in zip([0] + master, master + [0])]
+            if repeats:
+                break
+            planned.append(adds)
+            held = entering
+        if not planned and not repeats:
+            return
+        # values may end with the adds of the subset that repeats, never yielded
+        inverses = iter(_inverses_mod_p(values, p))
+        for adds in planned:
+            for x, y, m in adds:
+                px = 0
+                for c in reversed(poly):
+                    px = (px * x + c) % p
+                scale = (y - px) * next(inverses) % p
+                poly = [(c + scale * q) % p for c, q in zip(poly, m)] + poly[len(m):]
+            yield poly
+        if repeats:
+            raise ZeroInverse("two interpolation x values are equal mod p")
+        run = min(2 * run, _RUN_CAP)
 
 
 def rs_decode(field: PrimeField, points: list[tuple[int, int]],

@@ -246,7 +246,8 @@ def subset_search(field, candidates, coeff_count, decode, max_subsets):
     accepts one; returns (decoded value or None, subsets tried).
     subset_interpolants walks them: over F_p one outright interpolation,
     then, from each subset to the next, O(n) per point that leaves or
-    enters and one modular inverse per point that enters.
+    enters, and one modular inverse per run of up to 32 subsets. The walk
+    may step up to a run ahead of the subsets decode sees.
 
     This is the paper's attack model and identity binding's search, and
     unlock's fallback beyond the Reed-Solomon decoding radius; max_subsets

@@ -5,7 +5,7 @@ import dataclasses
 import struct
 
 from dlfvault._wire import pack_lpint
-from dlfvault.attacks import _draw
+from dlfvault.attacks import _MASK64, _splitmix64
 from dlfvault.field import GF16_REDUCTION_POLY
 
 # 65,535 bytes, the widest integer a DLFK length prefix carries; even
@@ -83,10 +83,10 @@ def sample_distinct(seed, trial, n, r):
     """Floyd's uniform n-subset of range(r), one element per draw of
     attacks' seeded stream, at most 2^16 draws per trial; the reference
     monte_carlo_rate's trials are tested against."""
-    base = trial << 16
+    z0 = (seed & _MASK64) * 0xD1342543DE82EF95 + 1
     taken = set()
     for step, j in enumerate(range(r - n, r)):
-        x = _draw(seed, base + step, j + 1)
+        x = _splitmix64((z0 + (trial << 16) + step) & _MASK64) % (j + 1)
         if x in taken:
             x = j
         taken.add(x)

@@ -148,7 +148,7 @@ def test_monte_carlo_validates():
 def test_monte_carlo_rejects_a_subset_size_beyond_the_draw_budget(monkeypatch):
     def no_trial(*args):
         raise AssertionError("a trial ran")
-    monkeypatch.setattr(attacks, "_draw", no_trial)
+    monkeypatch.setattr(attacks, "_splitmix64", no_trial)
     with pytest.raises(BadArguments):
         monte_carlo_rate(1 << 16, 1 << 16, 1 << 16, 1, 0)
 

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from dlfvault import field as field_module, polynomial
-from dlfvault.errors import ZeroInverse
+from dlfvault.errors import BadLength, ZeroInverse
 from dlfvault.field import PrimeField, binary_field
 from dlfvault.polynomial import (
     CRC16_GENERATOR,
@@ -16,6 +16,7 @@ from dlfvault.polynomial import (
     rs_decode,
     subset_interpolants,
 )
+from dlfvault.vault import subset_search
 from helpers import OAKLEY_1024, PowCounter
 
 
@@ -294,17 +295,47 @@ def test_a_subset_walk_interpolates_outright_once_over_f_p_and_each_subset_other
     assert walked[1] is (field_name == "prime-repeat")
 
 
-def test_a_point_swap_computes_one_inverse(params256, monkeypatch):
+def test_a_walk_computes_one_inverse_per_run(params256, monkeypatch):
     counter = PowCounter()
     monkeypatch.setattr(polynomial, "pow", counter, raising=False)
     rng = random.Random(33)
     points = [(x, rng.randrange(params256.p)) for x in distinct_residues(rng, params256.p, 6)]
-    # consecutive 3-subsets of 6 points differ in one, two or three points;
-    # the first of the 20 subsets is one outright interpolation
-    subsets = list(combinations(range(6), 3))
-    swapped = sum(len(set(new) - set(old)) for old, new in zip(subsets, subsets[1:]))
+    # the first of the 20 3-subsets of 6 points is one outright
+    # interpolation; the other 19 go in runs of 1, 2, 4, 8 and 4, each
+    # with one inverse however many points its subsets add
     assert len(list(subset_interpolants(params256, points, 3))) == 20
-    assert counter.inverses == 1 + swapped
+    assert counter.inverses == 1 + 5
+
+
+def _repeat_at_fortieth(f, rng):
+    """Eleven points whose 3-subsets first repeat an x mod p at the 40th,
+    {0, 7, 8}: the 8th of the run of 32 that starts at the 33rd. The walk
+    gets there from {0, 6, 10} by two adds, and only the second repeats."""
+    xs = distinct_residues(rng, f.p, 10)
+    xs.insert(8, xs[7] + f.p)
+    assert next(k for k, s in enumerate(combinations(range(11), 3), 1) if {7, 8} <= set(s)) == 40
+    return [(x, rng.randrange(f.p)) for x in xs]
+
+
+def test_a_walk_yields_every_subset_before_a_repeat_deep_in_a_run(params256):
+    points = _repeat_at_fortieth(params256, random.Random(34))
+    walked = _walk(subset_interpolants(params256, points, 3))
+    assert walked == _outright(params256, points, 3)
+    assert len(walked[0]) == 39 and walked[1] is True
+
+
+def test_a_search_that_accepts_a_subset_before_a_repeat_in_its_run_returns(params256):
+    points = _repeat_at_fortieth(params256, random.Random(35))
+    tried = []
+
+    def decode(coeffs):
+        tried.append(coeffs)
+        if len(tried) < 39:
+            raise BadLength("rejected")
+        return coeffs
+
+    expected = lagrange_interpolate(params256, list(combinations(points, 3))[38])
+    assert subset_search(params256, points, 3, decode, 100) == (expected, 39)
 
 
 # CRC-16
