@@ -11,6 +11,7 @@ that in their notes next to the exact value.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -21,6 +22,11 @@ from .field import PrimeField
 from .vault import DEFAULT_MAX_SUBSETS, Vault, subset_search
 
 _MASK64 = (1 << 64) - 1
+# Monte Carlo trials per block whose first two draws take one lane-wise pass
+_LANES = 512
+# the low word of each 128-bit lane, in lane order, among the 64-bit words
+# of its native-order bytes
+_LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
 
 CSV_HEADER = "r,t,n,paper_eq30,exact,empirical,stderr,trials"
 
@@ -62,6 +68,36 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+@lru_cache(maxsize=None)
+def _lane_constants() -> tuple[int, int, int]:
+    """(ONES, LANES, RAMP) for _LANES lanes of 128 bits: 1, 2^64 - 1 and
+    i << 16 in lane i. Built on the first Monte Carlo call, so importing
+    the package does not pay for them."""
+    ones = int.from_bytes(b"\x01".ljust(16, b"\0") * _LANES, "little")
+    ramp = b"".join((i << 16).to_bytes(16, "little") for i in range(_LANES))
+    return ones, ones * _MASK64, int.from_bytes(ramp, "little")
+
+
+def _splitmix64_lanes(z: int, count: int) -> list[int]:
+    """[_splitmix64((z + (i << 16)) & _MASK64) for i in range(count)],
+    count <= _LANES, computed on one int that holds state i in its
+    128-bit lane i. A 64-bit lane times a 64-bit constant fits in 128
+    bits, so no carry crosses lanes; every step masks each lane back to
+    64 bits, which also drops the bits a right shift pulls in from the
+    lane above."""
+    ones, lanes, ramp = _lane_constants()
+    if count < _LANES:
+        low = (1 << 128 * count) - 1
+        ones, lanes, ramp = ones & low, lanes & low, ramp & low
+    z = (z * ones + ramp) & lanes
+    z = (z ^ (z >> 30)) & lanes
+    z = z * 0xBF58476D1CE4E5B9 & lanes
+    z = (z ^ (z >> 27)) & lanes
+    z = z * 0x94D049BB133111EB & lanes
+    z ^= z >> 31
+    return memoryview(z.to_bytes(16 * count, sys.byteorder)).cast("Q")[_LOW_WORDS].tolist()
+
+
 def monte_carlo_rate(r: int, t: int, n: int, trials: int, seed: int) -> tuple[float, float]:
     """Estimate exact_success_prob empirically; returns (rate, standard error).
 
@@ -73,10 +109,12 @@ def monte_carlo_rate(r: int, t: int, n: int, trials: int, seed: int) -> tuple[fl
     output at state z0 + i mod 2^64, with z0 = (seed mod 2^64) *
     0xD1342543DE82EF95 + 1 computed once per call. A trial fails at its
     first chaff draw (an index at or above t): Floyd's sampler only adds
-    elements, so later draws cannot change the verdict. Step 0 cannot
-    collide, so no set of taken indices is built before the second
-    draw, and a trial whose first draw is chaff builds none. Each trial
-    is a pure function of (seed, trial index).
+    elements, so later draws cannot change the verdict. Trials run in
+    blocks of _LANES: the draws of steps 0 and 1 for a whole block come
+    from one lane-wise pass each, and only trials still genuine after
+    step 1 draw further steps one at a time. The stream is the same
+    whatever the block size, and each trial is a pure function of
+    (seed, trial index).
     """
     if not 0 <= n <= t <= r:
         raise BadArguments(f"need 0 <= n <= t <= r, got r={r} t={t} n={n}")
@@ -90,22 +128,36 @@ def monte_carlo_rate(r: int, t: int, n: int, trials: int, seed: int) -> tuple[fl
     first = r - n + 1
     z0 = ((seed & _MASK64) * 0xD1342543DE82EF95 + 1) & _MASK64
     successes = 0
-    for trial in range(trials):
-        z = z0 + (trial << 16)
-        x = _splitmix64(z & _MASK64) % first
-        if x >= t:
+    for block in range(0, trials, _LANES):
+        count = min(_LANES, trials - block)
+        zb = (z0 + (block << 16)) & _MASK64
+        draws0 = _splitmix64_lanes(zb, count)
+        if n == 1:
+            successes += sum(d % first < t for d in draws0)
             continue
-        # a set, not an int bitmask: a bitmask's updates cost O(t) each
-        taken = {x}
-        for step in range(1, n):
-            x = _splitmix64((z + step) & _MASK64) % (first + step)
-            if x in taken:
-                x = first + step - 1
+        draws1 = _splitmix64_lanes((zb + 1) & _MASK64, count)
+        # z is each trial's step-0 state, not yet reduced mod 2^64
+        for z, d0, d1 in zip(range(zb, zb + (count << 16), 1 << 16), draws0, draws1):
+            x = d0 % first
             if x >= t:
-                break
-            taken.add(x)
-        else:
-            successes += 1
+                continue
+            # step 0 cannot collide; step 1 collides only with it
+            y = d1 % (first + 1)
+            if y == x:
+                y = first
+            if y >= t:
+                continue
+            # a set, not an int bitmask: a bitmask's updates cost O(t) each
+            taken = {x, y}
+            for step in range(2, n):
+                x = _splitmix64((z + step) & _MASK64) % (first + step)
+                if x in taken:
+                    x = first + step - 1
+                if x >= t:
+                    break
+                taken.add(x)
+            else:
+                successes += 1
     rate = successes / trials
     stderr = math.sqrt(rate * (1.0 - rate) / trials)
     return rate, stderr

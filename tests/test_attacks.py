@@ -76,6 +76,17 @@ def test_sample_distinct_is_uniform_shaped_and_pure():
             != list(sample_distinct(seed=10, trial=1, n=4, r=12)))
 
 
+def test_splitmix64_lanes_equals_the_scalar_draws():
+    # the lane kernel against scalar splitmix64, lane by lane: the last two
+    # states wrap past 2^64 partway through a block, and the counts cover
+    # one lane, a partial block and a full one
+    mask = (1 << 64) - 1
+    for z in (0, 12345, 0x0123456789ABCDEF, mask - (100 << 16), mask):
+        for count in (1, attacks._LANES - 1, attacks._LANES):
+            assert attacks._splitmix64_lanes(z, count) == [
+                attacks._splitmix64((z + (i << 16)) & mask) for i in range(count)]
+
+
 def test_monte_carlo_agrees_with_exact():
     exact = float(exact_success_prob(10, 5, 3))
     rate, stderr = monte_carlo_rate(10, 5, 3, trials=50_000, seed=1)
@@ -111,6 +122,12 @@ def test_monte_carlo_stream_is_pinned():
         # most trials end at the first draw here too, but not all fail
         ((30, 10, 2, 10000, 11), 1051),
         ((40, 10, 3, 10000, 11), 109),
+        # trial counts off a block boundary, n at the edges of the two
+        # block-drawn steps, and seeds of 2^64 and above
+        ((40, 10, 3, 200001, 2**64 - 1), 2437),
+        ((30, 10, 2, 200001, 2**64 - 1), 20471),
+        ((12, 10, 8, 513, 2**80 - 1), 45),
+        ((30, 10, 1, 1000, 2**64), 305),
     ]
     for (r, t, n, trials, seed), successes in pinned:
         rate, _ = monte_carlo_rate(r, t, n, trials, seed)
@@ -120,10 +137,12 @@ def test_monte_carlo_stream_is_pinned():
 def test_monte_carlo_counts_what_the_reference_sampler_counts():
     # monte_carlo_rate's flat trial loop against Floyd's sampler in full:
     # r - n < t makes the collision fallback x = j genuine, n = 0 and
-    # n = t = r are the edges, and the stream masks seeds of 2^64 and up
+    # n = t = r are the edges, n = 1 and 2 end within the block-drawn
+    # steps, and the stream masks seeds of 2^64 and up
     grid = [(10, 8, 5), (6, 5, 4), (12, 11, 9), (9, 4, 0), (7, 7, 7), (12, 6, 3),
-            (30, 10, 8), (5, 0, 0), (1, 1, 1)]
-    trials = 400
+            (30, 10, 8), (5, 0, 0), (1, 1, 1), (8, 4, 1), (9, 5, 2)]
+    # two full blocks of trials and a partial one
+    trials = 2 * attacks._LANES + 1
     for r, t, n in grid:
         for seed in (0, 3, (1 << 64) + 3, (1 << 80) - 1):
             expected = sum(all(x < t for x in sample_distinct(seed, trial, n, r))
@@ -149,6 +168,7 @@ def test_monte_carlo_rejects_a_subset_size_beyond_the_draw_budget(monkeypatch):
     def no_trial(*args):
         raise AssertionError("a trial ran")
     monkeypatch.setattr(attacks, "_splitmix64", no_trial)
+    monkeypatch.setattr(attacks, "_splitmix64_lanes", no_trial)
     with pytest.raises(BadArguments):
         monte_carlo_rate(1 << 16, 1 << 16, 1 << 16, 1, 0)
 
