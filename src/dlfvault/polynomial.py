@@ -13,6 +13,8 @@ order and interpolates the first outright. From one subset to the next,
 whatever the order, it drops the points that leave, then adds those that
 enter in Newton's form: O(n) per point dropped or added, and one modular
 inverse per run of up to 32 subsets for all the points that run adds.
+rs_decode tries the first n points' interpolant, then solves Gao's key
+equation on its m - n residuals, fraction-free: three inverses in all.
 Any other field, in practice the GF(2^16) of the identity binding, goes
 through its add/sub/mul/inv methods, interpolates by that same add step,
 walks every subset by an outright interpolation and has no decoder.
@@ -20,7 +22,7 @@ walks every subset by an outright interpolation and has no decoder.
 
 from __future__ import annotations
 
-from itertools import combinations, islice
+from itertools import combinations, islice, zip_longest
 from operator import mul
 
 from .errors import ZeroInverse
@@ -71,18 +73,19 @@ def lagrange_interpolate(field, points: list[tuple[int, int]]) -> list[int]:
     return result
 
 
-def _product_mod_p(p: int, xs: list[int]) -> list[int]:
-    """prod_j (X - x_j) mod p, length len(xs) + 1; each step multiplies by (X - x)."""
-    product = [1]
+def _product_mod_p(p: int, xs: list[int], product: tuple[int, ...] | list[int] = (1,)) -> list[int]:
+    """product * prod_j (X - x_j) mod p, length len(product) + len(xs);
+    each step multiplies by (X - x)."""
+    product = list(product)
     for x in xs:
         product = [(lo - x * hi) % p for lo, hi in zip([0] + product, product + [0])]
     return product
 
 
-def _interpolate_mod_p(field: PrimeField, points: list[tuple[int, int]],
-                       master: list[int]) -> list[int]:
+def _interpolate_mod_p(field: PrimeField, points: list[tuple[int, int]], master: list[int],
+                       divisors: list[int] | None = None) -> list[int]:
     """lagrange_interpolate on plain ints mod p; master is _product_mod_p
-    of the points' x values."""
+    of the points' x values. Each y is divided by its divisor, if given."""
     p = field.p
     n = len(points)
     quotients, denoms = [], []
@@ -96,6 +99,8 @@ def _interpolate_mod_p(field: PrimeField, points: list[tuple[int, int]],
         quotients.append(q)
         # q(x) = prod_{j != i} (x_i - x_j)
         denoms.append(eval_poly(field, q, x))
+    if divisors:
+        denoms = list(map(mul, denoms, divisors))
     scales = [y * inverse % p for (_, y), inverse in zip(points, _inverses_mod_p(denoms, p))]
     return [sum(map(mul, column, scales)) % p for column in zip(*quotients)]
 
@@ -204,44 +209,61 @@ def rs_decode(field: PrimeField, points: list[tuple[int, int]],
     with at least ceil((m + coeff_count) / 2) of the m points, or None.
 
     Such a polynomial is unique, since two of them would share
-    coeff_count points. The points are a Reed-Solomon codeword with at
-    most floor((m - coeff_count) / 2) errors, which Gao's decoder ("A new
-    algorithm for decoding Reed-Solomon codes", 2003) corrects in O(m^2)
-    on plain ints mod p. The interpolant of the first coeff_count points
-    is tried first: when it already agrees with enough points, no m-point
-    decode runs. Fewer than coeff_count points, or two x values equal
-    mod p, give None.
+    coeff_count points, and Gao's decoder ("A new algorithm for decoding
+    Reed-Solomon codes", 2003) finds it in O(m^2) on plain ints mod p.
+    The interpolant of the first coeff_count points is the answer when it
+    agrees with enough points. Otherwise the key equation is solved on
+    its m - coeff_count residuals, fraction-free, with three modular
+    inverses in all: the guess's, one batch for the residuals and one to
+    divide by the error locator. Fewer than coeff_count points, or two x
+    values equal mod p, give None.
     """
     m, n, p = len(points), coeff_count, field.p
     xs = [x for x, _ in points]
     if m < n or len({x % p for x in xs}) < m:
         return None
     need = m - (m - n) // 2
-    guess = _interpolate_mod_p(field, points[:n], _product_mod_p(p, xs[:n]))
-    agree = n
-    for i in range(n, m):
-        # stop once the count is reached, or out of reach of the m - i points left
-        if agree >= need or agree + m - i < need:
+    master = _product_mod_p(p, xs[:n])
+    guess = _interpolate_mod_p(field, points[:n], master)
+    agree, residuals = n, []
+    for x, y in points[n:]:
+        # stop once the count is reached, or out of reach of the points left
+        if agree >= need or agree + m - n - len(residuals) < need:
             break
-        x, y = points[i]
-        agree += eval_poly(field, guess, x) == y % p
+        residuals.append((y - eval_poly(field, guess, x)) % p)
+        agree += not residuals[-1]
     if agree >= need:
         return guess
-    # g1 interpolates all m points, and g0 vanishes on every x. Euclid on
-    # (g0, g1) stops at the first remainder g below degree (m + n) / 2;
-    # g1's cofactor v there has at most floor((m - n) / 2) roots, among
-    # them every error's x, and f = g / v when it divides exactly.
-    g0 = _product_mod_p(p, xs)
-    r0, r1 = g0, _trim(_interpolate_mod_p(field, points, g0))
+    # With A the first n points and B the k = m - n others, H interpolates
+    # (y - guess(x)) / M_A(x) over B, so guess + M_A * H interpolates all
+    # m points. Euclid on (M_B, H) stops at the first remainder r below
+    # degree k / 2, and f = guess + M_A * r / v when r's cofactor v divides
+    # exactly. A step takes r0 to lc(r1) * r0 - lc(r0) * X^d * r1, and v0
+    # alike: a nonzero multiple of the usual row, taken with no inverse.
+    k, later = m - n, xs[n:]
+    residuals += [(y - eval_poly(field, guess, x)) % p for x, y in points[n + len(residuals):]]
+    r0 = _product_mod_p(p, later)
+    r1 = _trim(_interpolate_mod_p(field, list(zip(later, residuals)), r0,
+                                  [eval_poly(field, master, x) for x in later]))
     v0, v1 = [], [1]
-    while 2 * (len(r1) - 1) >= m + n:
-        quotient, remainder = _divmod_mod_p(r0, r1, p)
-        r0, r1 = r1, remainder
-        v0, v1 = v1, _sub_mul_mod_p(v0, quotient, v1, p)
-    f, remainder = _divmod_mod_p(r1, v1, p)
-    if remainder or len(f) > n:
+    while 2 * (len(r1) - 1) >= k:
+        while len(r0) >= len(r1):
+            a, b, shift = r1[-1], r0[-1], [0] * (len(r0) - len(r1))
+            r0 = _trim([(a * c - b * e) % p for c, e in zip(r0, shift + r1)])
+            v0 = _trim([(a * c - b * e) % p for c, e in zip_longest(v0, shift + v1, fillvalue=0)])
+        r0, r1, v0, v1 = r1, r0, v1, v0
+    if len(r1) >= len(v1):
         return None
-    return f + [0] * (n - len(f))
+    # M_A * r / v by long division in place: quotient[top:] is the quotient
+    quotient = _product_mod_p(p, xs[:n], r1)
+    top, scale = len(v1) - 1, pow(v1[-1], -1, p)
+    for i in range(len(quotient) - 1, top - 1, -1):
+        c = quotient[i] * scale % p
+        quotient[i - top:i] = [(u - c * w) % p for u, w in zip(quotient[i - top:i], v1)]
+        quotient[i] = c
+    if any(quotient[:top]):
+        return None
+    return [(g + c) % p for g, c in zip_longest(guess, quotient[top:], fillvalue=0)]
 
 
 def _trim(poly: list[int]) -> list[int]:
@@ -249,29 +271,6 @@ def _trim(poly: list[int]) -> list[int]:
     while poly and not poly[-1]:
         poly.pop()
     return poly
-
-
-def _divmod_mod_p(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Trimmed quotient and remainder of a by a trimmed, nonzero b, mod p."""
-    rem = list(a)
-    top = len(b) - 1
-    lead_inv = pow(b[-1], -1, p)
-    quotient = [0] * max(len(a) - top, 0)
-    for i in range(len(quotient) - 1, -1, -1):
-        c = rem[i + top] * lead_inv % p
-        quotient[i] = c
-        for j, bj in enumerate(b):
-            rem[i + j] = (rem[i + j] - c * bj) % p
-    return _trim(quotient), _trim(rem[:top])
-
-
-def _sub_mul_mod_p(a: list[int], b: list[int], c: list[int], p: int) -> list[int]:
-    """a - b * c mod p, trimmed."""
-    out = a + [0] * max(len(b) + len(c) - 1 - len(a), 0)
-    for i, bi in enumerate(b):
-        for j, cj in enumerate(c):
-            out[i + j] -= bi * cj
-    return _trim([v % p for v in out])
 
 
 def crc16_remainder(value: int, bit_len: int) -> int:

@@ -7,7 +7,7 @@ import pytest
 
 from dlfvault import field as field_module, polynomial
 from dlfvault.errors import BadLength, ZeroInverse
-from dlfvault.field import PrimeField, binary_field
+from dlfvault.field import PrimeField, binary_field, gen_params
 from dlfvault.polynomial import (
     CRC16_GENERATOR,
     crc16_remainder,
@@ -200,6 +200,75 @@ def test_rs_decode_refuses_too_few_points_and_x_values_equal_mod_p():
     f = PrimeField(23, 5)
     assert rs_decode(f, [(1, 1), (2, 2)], 3) is None
     assert rs_decode(f, [(1, 1), (24, 2), (3, 3)], 1) is None
+
+
+def _decode_by_every_subset(f, points, n):
+    """The reference decoder: the first n-subset interpolant, in
+    itertools.combinations order, that agrees with at least
+    ceil((m + n) / 2) of the m points, or None."""
+    need = -(-(len(points) + n) // 2)
+    for subset in combinations(points, n):
+        coeffs = lagrange_interpolate(f, list(subset))
+        if sum(eval_poly(f, coeffs, x) == y % f.p for x, y in points) >= need:
+            return coeffs
+    return None
+
+
+@pytest.mark.parametrize("bits", [5, 6, 8, 12])
+def test_rs_decode_equals_an_exhaustive_search_of_every_n_subset(bits):
+    # at these sizes errors past the radius often leave some other
+    # polynomial within reach, which the decoder must return too
+    f = gen_params(bits, seed=2000 + bits)
+    rng = random.Random(40 + bits)
+    outcomes = set()
+    for n in range(5):
+        for m in range(n, n + 9):
+            for _ in range(2):
+                coeffs = [rng.randrange(f.p) for _ in range(n)]
+                # x values distinct mod p, some lifted by multiples of p,
+                # and y values up to 2p
+                xs = [x + f.p * rng.randrange(3) for x in distinct_residues(rng, f.p, m)]
+                points = [(x, eval_poly(f, coeffs, x) + f.p * rng.randrange(2)) for x in xs]
+                radius = (m - n) // 2
+                placements = [
+                    rng.sample(range(n), min(radius, n)),  # among the first n
+                    rng.sample(range(n, m), radius),  # after them
+                    rng.sample(range(m), radius),  # anywhere
+                    rng.sample(range(m), min(radius + 1, m)),  # past the radius
+                    rng.sample(range(m), min(radius + 2, m)),
+                ]
+                for errors in placements:
+                    probe = _with_errors(rng, f.p, points, errors)
+                    expected = _decode_by_every_subset(f, probe, n)
+                    assert rs_decode(f, probe, n) == expected, (n, m, sorted(errors))
+                    outcomes.add((len(errors) > radius, expected == coeffs, expected is None))
+    # within the radius the codeword's own polynomial always comes back;
+    # past it the search finds None or, at times, another polynomial
+    assert outcomes == {(False, True, False), (True, False, True), (True, False, False)}
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_rs_decode_computes_one_inverse_for_a_guess_and_three_for_a_decode(
+        bits, params256, monkeypatch):
+    f = {256: params256, 1024: PrimeField(OAKLEY_1024, 5)}[bits]
+    rng = random.Random(19 + bits)
+    n, m = 6, 17
+    coeffs = [rng.randrange(f.p) for _ in range(n)]
+    points = [(x, eval_poly(f, coeffs, x)) for x in sorted(distinct_residues(rng, f.p, m))]
+    # five errors, the radius: all after the first n, which the guess
+    # settles, or one among them, which the decode corrects
+    probes = [points, _with_errors(rng, f.p, points, rng.sample(range(n, m), 5)),
+              _with_errors(rng, f.p, points, [0] + rng.sample(range(1, m), 4))]
+    counter = PowCounter()
+    monkeypatch.setattr(polynomial, "pow", counter, raising=False)
+    monkeypatch.setattr(field_module, "pow", counter, raising=False)
+    inverses = []
+    for probe in probes:
+        before = counter.inverses
+        assert rs_decode(f, probe, n) == coeffs
+        inverses.append(counter.inverses - before)
+    assert inverses == [1, 1, 3]
+    assert counter.powers == 0
 
 
 # subset walks
