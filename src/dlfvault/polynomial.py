@@ -8,13 +8,17 @@ scheme parameter, not degree, so leading zeros are legitimate.
 Over a PrimeField the kernels run on plain ints modulo p, and an
 interpolation inverts its n denominators together with one modular
 inverse (Montgomery's batch inversion). A walk over the n-subsets of
-some points (subset_interpolants) takes them in itertools.combinations
-order and interpolates the first outright. From one subset to the next,
-whatever the order, it drops the points that leave, then adds those that
-enter in Newton's form: O(n) per point dropped or added, and one modular
-inverse per run of up to 32 subsets for all the points that run adds.
-rs_decode tries the first n points' interpolant, then solves Gao's key
-equation on its m - n residuals, fraction-free: three inverses in all.
+some m points (subset_interpolants) takes them in itertools.combinations
+order, by one of two walks that the shape (m, n) picks. When few points
+are left out of each subset it interpolates all m outright once, then
+divides the left-out points out of that interpolant, depth first: about
+2n multiplies per subset and no further inverse. Otherwise it
+interpolates the first subset outright, and from one subset to the next
+drops the points that leave, then adds those that enter in Newton's
+form: O(n) per point dropped or added, and one modular inverse per run
+of up to 32 subsets for all the points that run adds. rs_decode tries
+the first n points' interpolant, then solves Gao's key equation on its
+m - n residuals, fraction-free: three inverses in all.
 Any other field, in practice the GF(2^16) of the identity binding, goes
 through its add/sub/mul/inv methods, interpolates by that same add step,
 walks every subset by an outright interpolation and has no decoder.
@@ -31,9 +35,13 @@ from .field import PrimeField
 # the identity binding's CRC-16: X^16 + X^15 + X^2 + 1
 CRC16_GENERATOR = 0x18005
 
-# the longest run of subsets whose added points subset_interpolants
-# inverts together; a longer run saved no time and held more masters
+# the longest run of subsets whose added points _swapping_walk inverts
+# together; a longer run saved no time and held more masters
 _RUN_CAP = 32
+
+# the most points a subset may leave out for _dividing_walk to walk it,
+# which bounds its stack to this many levels
+_DIVIDE_CAP = 8
 
 
 def eval_poly(field, coeffs: list[int], x: int) -> int:
@@ -129,8 +137,77 @@ def subset_interpolants(field, points, n):
     """Yield lagrange_interpolate(field, subset) for each subset in
     itertools.combinations(points, n), in that order.
 
-    Over a PrimeField the first subset is interpolated outright, with its
-    master M = prod (X - x). From one subset to the next, whatever their
+    Over a PrimeField the shape alone picks the walk. When each subset
+    leaves out k = m - n of the m points with k <= min(2n - 2,
+    _DIVIDE_CAP), and no two x values are equal mod p, _dividing_walk
+    divides the left-out points out of one interpolant of all m; any
+    other F_p walk is _swapping_walk. The rule is read off a timed grid
+    of n <= 16, k <= 10 at 64 and 256 bits (CPython 3.11, 2-core Xeon):
+    inside it the division walk ran 1.2-2.8x as fast as the swap walk,
+    at k = 2n - 1 only 1.1-1.3x, at n <= 1 at most 0.7x, and at k = 9 or
+    10 1.0-1.4x. Other fields interpolate every subset outright.
+    """
+    if not isinstance(field, PrimeField):
+        for subset in combinations(points, n):
+            yield lagrange_interpolate(field, subset)
+        return
+    points = list(points)
+    k, p = len(points) - n, field.p
+    if 0 <= k <= min(2 * n - 2, _DIVIDE_CAP) and len({x % p for x, _ in points}) == len(points):
+        yield from _dividing_walk(field, points, n)
+    else:
+        yield from _swapping_walk(field, points, n)
+
+
+def _dividing_walk(field, points, n):
+    """subset_interpolants over F_p by division, for m points whose x
+    values are distinct mod p.
+
+    The interpolant of a subset S is F mod M_S, with F the interpolant of
+    all m points and M_S the master prod_{x in S} (X - x). The walk
+    interpolates F outright and takes the left-out k-sets depth first,
+    each in ascending order and the sets in reverse lexicographic order,
+    so that the subsets come out in combinations order. A level holds
+    D = M_S of the points still in and R = F mod D; one more point a out
+    gives D' = D / (X - a) by synthetic division and R' = R - top(R) * D',
+    one coefficient shorter: about 2n multiplies per subset and no
+    inverse. The stack holds one (R, D) per level, k at most.
+    """
+    p = field.p
+    xs = [x for x, _ in points]
+    root = lagrange_interpolate(field, points)
+    k = len(points) - n
+    if not k:
+        yield root
+        return
+    # per level: R, D high to low, and the points left to divide out next,
+    # from the highest that leaves room for the levels below
+    stack = [(root, _product_mod_p(p, xs)[::-1], iter(range(n, -1, -1)))]
+    while stack:
+        poly, master, left = stack[-1]
+        j = next(left, None)
+        if j is None:
+            stack.pop()
+            continue
+        a, carry, quotient = xs[j], 0, []
+        for c in master[:-1]:
+            carry = (carry * a + c) % p
+            quotient.append(carry)
+        # R - top(R) * D' less its top coefficient, which is 0; quotient
+        # is D' high to low, its leading 1 first
+        neg = p - poly[-1]
+        poly = [(c + neg * q) % p for c, q in zip(poly, quotient[-1:0:-1])]
+        if len(stack) == k:
+            yield poly
+        else:
+            stack.append((poly, quotient, iter(range(n + len(stack), j, -1))))
+
+
+def _swapping_walk(field, points, n):
+    """subset_interpolants over F_p by swapping points.
+
+    The first subset is interpolated outright, with its master
+    M = prod (X - x). From one subset to the next, whatever their
     order, each point a that leaves is dropped first, M = M / (X - a),
     with P kept; then each (x, y) that enters is added in Newton's form,
     P += M * (y - P(x)) / M(x) and M *= (X - x). Each step is O(n). The
@@ -141,14 +218,8 @@ def subset_interpolants(field, points, n):
     through lies between the points both subsets share and the new
     subset, so M(x) is 0 exactly when the new subset repeats an x mod p.
     The walk then yields the subsets before it and raises ZeroInverse,
-    as one interpolation per subset would. Other fields interpolate every
-    subset outright.
+    as one interpolation per subset would.
     """
-    if not isinstance(field, PrimeField):
-        for subset in combinations(points, n):
-            yield lagrange_interpolate(field, subset)
-        return
-    points = list(points)
     p = field.p
     subsets = combinations(range(len(points)), n)
     first = next(subsets, None)

@@ -309,6 +309,40 @@ def test_subset_interpolants_equal_one_interpolation_per_subset(bits, params64, 
         assert _walk(subset_interpolants(f, points, n), limit) == expected
 
 
+@pytest.mark.parametrize("bits", [64, 256])
+def test_a_division_walk_equals_one_interpolation_per_subset(bits, params64, params256):
+    f = params64 if bits == 64 else params256
+    rng = random.Random(40 + bits)
+    for n in range(15):
+        for k in range(polynomial._DIVIDE_CAP + 1):
+            m = n + k
+            # whole walks up to 300 subsets, and the first 60 of longer ones
+            limit = None if math.comb(m, n) <= 300 else 60
+            xs = [x + f.p * rng.randrange(3) for x in distinct_residues(rng, f.p, m)]
+            points = [(x, rng.randrange(3 * f.p)) for x in xs]
+            expected = _outright(f, points, n, limit)
+            assert _walk(polynomial._dividing_walk(f, points, n), limit) == expected
+            assert _walk(subset_interpolants(f, points, n), limit) == expected
+
+
+@pytest.mark.parametrize("m, n, repeat, walk", [
+    (14, 12, False, "_dividing_walk"), (15, 12, False, "_dividing_walk"),
+    (9, 6, False, "_dividing_walk"), (10, 6, False, "_dividing_walk"),
+    (11, 6, False, "_dividing_walk"), (12, 6, False, "_dividing_walk"),
+    (10, 4, False, "_dividing_walk"), (160, 2, False, "_swapping_walk"),
+    (9, 1, False, "_swapping_walk"), (15, 12, True, "_swapping_walk")])
+def test_subset_interpolants_pick_the_walk_by_shape(m, n, repeat, walk, params64, monkeypatch):
+    picked = []
+    for name in ("_dividing_walk", "_swapping_walk"):
+        monkeypatch.setattr(polynomial, name,
+                            lambda field, points, n, name=name: iter(picked.append(name) or ()))
+    points = [(x, 0) for x in range(1, m + 1)]
+    if repeat:
+        points[3] = (points[2][0] + params64.p, 0)
+    assert list(subset_interpolants(params64, points, n)) == []
+    assert picked == [walk]
+
+
 def test_subset_interpolants_raise_where_a_subset_repeats_an_x_mod_p():
     # x = 24 is 1 mod 23. Swapping 0 for 1 on the way from {0, 24} to
     # {1, 2} would pass through {1, 24}, which repeats an x, but the walk
@@ -336,7 +370,7 @@ def test_subset_interpolants_on_small_fields_stop_where_one_interpolation_per_su
     assert raised > 100
 
 
-@pytest.mark.parametrize("field_name", ["prime", "gf16", "prime-repeat"])
+@pytest.mark.parametrize("field_name", ["prime", "gf16", "prime-repeat", "prime-swap"])
 def test_a_subset_walk_interpolates_outright_once_over_f_p_and_each_subset_otherwise(
         field_name, params64, monkeypatch):
     calls = []
@@ -354,13 +388,16 @@ def test_a_subset_walk_interpolates_outright_once_over_f_p_and_each_subset_other
         f, n = PrimeField(23, 5), 2
         points = [(0, 3), (1, 4), (2, 9), (24, 7)]
     else:
-        f, n = (params64 if field_name == "prime" else binary_field()), 4
+        # 4-subsets of 10 points over F_p go to the division walk, which
+        # interpolates all 10 outright; 3-subsets go to the swap walk
+        f = params64 if field_name.startswith("prime") else binary_field()
+        n = 3 if field_name == "prime-swap" else 4
         rng = random.Random(32)
         points = [(x, rng.randrange(1 << 16)) for x in rng.sample(range(1 << 16), 10)]
     walked = _walk(subset_interpolants(f, points, n))
-    assert calls == [n] * (math.comb(10, 4) if field_name == "gf16" else 1)
+    assert calls == {"prime": [10], "gf16": [4] * math.comb(10, 4)}.get(field_name, [n])
     assert walked == _outright(f, points, n)
-    assert len(walked[0]) == (4 if field_name == "prime-repeat" else math.comb(10, 4))
+    assert len(walked[0]) == (4 if field_name == "prime-repeat" else math.comb(10, n))
     assert walked[1] is (field_name == "prime-repeat")
 
 
@@ -372,8 +409,18 @@ def test_a_walk_computes_one_inverse_per_run(params256, monkeypatch):
     # the first of the 20 3-subsets of 6 points is one outright
     # interpolation; the other 19 go in runs of 1, 2, 4, 8 and 4, each
     # with one inverse however many points its subsets add
-    assert len(list(subset_interpolants(params256, points, 3))) == 20
+    assert len(list(polynomial._swapping_walk(params256, points, 3))) == 20
     assert counter.inverses == 1 + 5
+
+
+def test_a_division_walk_computes_one_inverse(params256, monkeypatch):
+    counter = PowCounter()
+    monkeypatch.setattr(polynomial, "pow", counter, raising=False)
+    rng = random.Random(36)
+    points = [(x, rng.randrange(params256.p)) for x in distinct_residues(rng, params256.p, 15)]
+    # the interpolant of all 15 points; every 12-subset divides 3 out of it
+    assert len(list(subset_interpolants(params256, points, 12))) == math.comb(15, 12)
+    assert counter.inverses == 1
 
 
 def _repeat_at_fortieth(f, rng):

@@ -170,6 +170,28 @@ def test_an_impostor_still_walks_its_subset_budget(eleven_coefficient_vault):
         assert f"no subset of {tried} tried" in str(exc_info.value)
 
 
+@pytest.mark.parametrize("bits", [128, 256])
+def test_an_impostor_one_genuine_match_short_walks_every_subset(bits, params128, params256):
+    # 20-byte messages at 64-bit segments, n = 6, 20 genuine x values
+    # spread over [0, p) and 60 chaff; the impostor holds 5 genuine and
+    # 4-7 chaff, m = 9-12, so the decoder finds nothing and unlock walks
+    # and rejects all C(m, 6) subsets
+    params = params128 if bits == 128 else params256
+    rng = random.Random(75 + bits)
+    A = sorted({rng.randrange(params.p) for _ in range(20)})
+    for scheme in (Scheme.CLASSICAL, Scheme.PER_SEGMENT, Scheme.PARITY):
+        vault, key_file = lock(rng.randbytes(20), A, scheme, params, chaff_count=60, delta=3,
+                               seed=rng.randrange(1 << 32), seg_bits=64)
+        assert vault.coeff_count == 6
+        chaff = [x for (x, _), genuine in zip(vault.points, vault.genuine_mask) if not genuine]
+        for hits in (4, 5, 6, 7):
+            probe = rng.sample(A, 5) + rng.sample(chaff, hits)
+            rng.shuffle(probe)
+            with pytest.raises(DecodeFailed) as exc_info:
+                unlock(vault, probe, key_file)
+            assert f"no subset of {math.comb(5 + hits, 6)} tried" in str(exc_info.value)
+
+
 def test_match_points_nearest_within_delta(params64):
     vault, _ = lock(b"", [1000, 2000, 3000] + list(range(4000, 4000 + 21 * 60, 60)),
                     Scheme.CLASSICAL, params64, chaff_count=0, delta=5,
