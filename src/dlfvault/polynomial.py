@@ -9,16 +9,15 @@ Over a PrimeField the kernels run on plain ints modulo p, and an
 interpolation inverts its n denominators together with one modular
 inverse (Montgomery's batch inversion). A walk over the n-subsets of
 some m points (subset_interpolants) takes them in itertools.combinations
-order, by one of two walks that the shape (m, n) picks. When few points
-are left out of each subset it interpolates all m outright once, then
-divides the left-out points out of that interpolant, depth first: about
-2n multiplies per subset and no further inverse. Otherwise it
-interpolates the first subset outright, and from one subset to the next
-drops the points that leave, then adds those that enter in Newton's
-form: O(n) per point dropped or added, and one modular inverse per run
-of up to 32 subsets for all the points that run adds. rs_decode tries
-the first n points' interpolant, then solves Gao's key equation on its
-m - n residuals, fraction-free: three inverses in all.
+order, by one of two depth-first walks that the shape (m, n) picks.
+When few points are left out of each subset it interpolates all m
+outright once, then divides the left-out points out of that
+interpolant: about 2n multiplies per subset and no further inverse.
+Otherwise it adds the kept points one at a time in Newton's form: O(n)
+per point added, and one modular inverse per run of up to 32 subsets
+for all the points that run adds. rs_decode tries the first n points'
+interpolant, then solves Gao's key equation on its m - n residuals,
+fraction-free: three inverses in all.
 Any other field, in practice the GF(2^16) of the identity binding, goes
 through its add/sub/mul/inv methods, interpolates by that same add step,
 walks every subset by an outright interpolation and has no decoder.
@@ -26,7 +25,7 @@ walks every subset by an outright interpolation and has no decoder.
 
 from __future__ import annotations
 
-from itertools import combinations, islice, zip_longest
+from itertools import combinations, zip_longest
 from operator import mul
 
 from .errors import ZeroInverse
@@ -35,7 +34,7 @@ from .field import PrimeField
 # the identity binding's CRC-16: X^16 + X^15 + X^2 + 1
 CRC16_GENERATOR = 0x18005
 
-# the longest run of subsets whose added points _swapping_walk inverts
+# the longest run of subsets whose added points _adding_walk inverts
 # together; a longer run saved no time and held more masters
 _RUN_CAP = 32
 
@@ -141,11 +140,12 @@ def subset_interpolants(field, points, n):
     leaves out k = m - n of the m points with k <= min(2n - 2,
     _DIVIDE_CAP), and no two x values are equal mod p, _dividing_walk
     divides the left-out points out of one interpolant of all m; any
-    other F_p walk is _swapping_walk. The rule is read off a timed grid
-    of n <= 16, k <= 10 at 64 and 256 bits (CPython 3.11, 2-core Xeon):
-    inside it the division walk ran 1.2-2.8x as fast as the swap walk,
-    at k = 2n - 1 only 1.1-1.3x, at n <= 1 at most 0.7x, and at k = 9 or
-    10 1.0-1.4x. Other fields interpolate every subset outright.
+    other F_p walk is _adding_walk. On the first 2,000 subsets of each
+    shape of n <= 16, k <= 10 at 64 and 256 bits (CPython 3.11, 2-core
+    Xeon), the division walk ran a median 2.7-3.1x as fast as the adding
+    walk inside the rule at 1 <= k <= 5, 1.3-1.8x at k = 6 or 7 and
+    0.8-1.0x at k = 0 or 8, and outside the rule at most 1.0x. Other
+    fields interpolate every subset outright.
     """
     if not isinstance(field, PrimeField):
         for subset in combinations(points, n):
@@ -156,7 +156,7 @@ def subset_interpolants(field, points, n):
     if 0 <= k <= min(2 * n - 2, _DIVIDE_CAP) and len({x % p for x, _ in points}) == len(points):
         yield from _dividing_walk(field, points, n)
     else:
-        yield from _swapping_walk(field, points, n)
+        yield from _adding_walk(field, points, n)
 
 
 def _dividing_walk(field, points, n):
@@ -203,72 +203,66 @@ def _dividing_walk(field, points, n):
             stack.append((poly, quotient, iter(range(n + len(stack), j, -1))))
 
 
-def _swapping_walk(field, points, n):
-    """subset_interpolants over F_p by swapping points.
+def _adding_walk(field, points, n):
+    """subset_interpolants over F_p by adding points, for any n and any
+    x values.
 
-    The first subset is interpolated outright, with its master
-    M = prod (X - x). From one subset to the next, whatever their
-    order, each point a that leaves is dropped first, M = M / (X - a),
-    with P kept; then each (x, y) that enters is added in Newton's form,
-    P += M * (y - P(x)) / M(x) and M *= (X - x). Each step is O(n). The
-    masters need no inverse, so the walk takes the subsets in runs of 1,
-    2, 4, ... and at most _RUN_CAP: it first steps M alone through the
-    whole run, keeping each M(x), then inverts them all with one modular
-    inverse, then steps P and yields each subset. Every set passed
-    through lies between the points both subsets share and the new
-    subset, so M(x) is 0 exactly when the new subset repeats an x mod p.
-    The walk then yields the subsets before it and raises ZeroInverse,
-    as one interpolation per subset would.
+    The walk takes the kept points depth first, the mirror of
+    _dividing_walk. Level i holds the interpolant P of a subset's first i
+    points and their master M = prod (X - x), and the next point (x, y)
+    is added in Newton's form, P += M * (y - P(x)) / M(x) and
+    M *= (X - x): O(i) each. The masters need no inverse, so the walk
+    takes the subsets in runs of 1, 2, 4, ... and at most _RUN_CAP: it
+    first steps the masters alone through the whole run, keeping each
+    M(x), then inverts them all with one modular inverse, then replays
+    the adds on a stack of the levels' interpolants. M(x) is 0 exactly
+    when the points so far repeat an x mod p, and the first subset that
+    holds them is the next one due, so the walk yields the subsets
+    before it and raises ZeroInverse, as one interpolation per subset
+    would.
     """
-    p = field.p
-    subsets = combinations(range(len(points)), n)
-    first = next(subsets, None)
-    if first is None:
+    p, m = field.p, len(points)
+    if n <= 0:
+        # [[]] at n = 0, and combinations' ValueError at n < 0
+        yield from ([] for _ in combinations(points, n))
         return
-    poly = lagrange_interpolate(field, [points[j] for j in first])
-    master = _product_mod_p(p, [points[j][0] for j in first])
-    held = set(first)
-    yield poly
+    # per level: M, low to high, and the points left to add next, up to the
+    # highest that leaves room for the levels after it
+    stack = [([1], iter(range(m - n + 1)))]
+    # per level: P, the interpolant of the points added before it
+    polys = [[]]
     run = 1
-    while True:
-        # the masters alone: each subset's adds as (x, y, M before the add)
-        planned, values, repeats = [], [], False
-        for entering in map(set, islice(subsets, run)):
-            for j in held - entering:
-                # master / (X - a) by synthetic division, high to low
-                a, carry, quotient = points[j][0], 0, []
-                for c in reversed(master[1:]):
-                    carry = (carry * a + c) % p
-                    quotient.append(carry)
-                master = quotient[::-1]
-            adds = []
-            for j in entering - held:
-                x, y = points[j]
-                mx = 0
-                for c in reversed(master):
-                    mx = (mx * x + c) % p
-                if not mx:
-                    repeats = True
-                    break
-                adds.append((x, y, master))
-                values.append(mx)
-                master = [(lo - x * hi) % p for lo, hi in zip([0] + master, master + [0])]
-            if repeats:
+    while stack:
+        # the masters alone: each add as (level, x, y, M at that level)
+        adds, values, done, repeats = [], [], 0, False
+        while stack and done < run:
+            master, left = stack[-1]
+            j = next(left, None)
+            if j is None:
+                stack.pop()
+                continue
+            x, y = points[j]
+            mx = eval_poly(field, master, x)
+            if not mx:
+                repeats = True
                 break
-            planned.append(adds)
-            held = entering
-        if not planned and not repeats:
-            return
-        # values may end with the adds of the subset that repeats, never yielded
-        inverses = iter(_inverses_mod_p(values, p))
-        for adds in planned:
-            for x, y, m in adds:
-                px = 0
-                for c in reversed(poly):
-                    px = (px * x + c) % p
-                scale = (y - px) * next(inverses) % p
-                poly = [(c + scale * q) % p for c, q in zip(poly, m)] + poly[len(m):]
-            yield poly
+            adds.append((len(stack) - 1, x, y, master))
+            values.append(mx)
+            if len(stack) == n:
+                done += 1
+            else:
+                stack.append(([(lo - x * hi) % p for lo, hi in zip([0] + master, master + [0])],
+                              iter(range(j + 1, m - n + len(stack) + 1))))
+        # a run that found the walk's end, or a repeat, at once needs no inverse
+        if values:
+            for (level, x, y, master), inverse in zip(adds, _inverses_mod_p(values, p)):
+                poly = polys[level]
+                scale = (y - eval_poly(field, poly, x)) * inverse % p
+                poly = [(c + scale * q) % p for c, q in zip(poly + [0], master)]
+                if level + 1 == n:
+                    yield poly
+                else:
+                    polys[level + 1:] = [poly]
         if repeats:
             raise ZeroInverse("two interpolation x values are equal mod p")
         run = min(2 * run, _RUN_CAP)

@@ -6,8 +6,8 @@ The walk takes subsets in itertools.combinations order and derives each
 interpolant from one it already holds (polynomial.subset_interpolants),
 not one interpolation per subset: by dividing the left-out points out
 of the interpolant of all the points when few are left out, and
-otherwise by dropping the points that leave one subset and adding
-those that enter the next.
+otherwise by adding the kept points, depth first, to the interpolant of
+the points before them.
 
 A vault is r points over a field: F_p for the four schemes here,
 GF(2^16) for identity binding, which reuses place_points, nearest_points
@@ -246,13 +246,12 @@ def subset_search(field, candidates, coeff_count, decode, max_subsets):
     """Interpolate at most max_subsets candidate subsets in
     itertools.combinations order, lexicographic in x, until decode
     accepts one; returns (decoded value or None, subsets tried).
-    subset_interpolants walks them over F_p with one outright
-    interpolation. When few candidates are left out of each subset, that
-    is of all the candidates, and each subset then costs about 2n
-    multiplies. Otherwise it is of the first subset, and from each subset
-    to the next the walk takes O(n) per point that leaves or enters and
-    one modular inverse per run of up to 32 subsets; this walk may step
-    up to a run ahead of the subsets decode sees.
+    subset_interpolants walks them over F_p depth first. When few
+    candidates are left out of each subset, it interpolates all of them
+    outright once, and each subset then costs about 2n multiplies.
+    Otherwise it adds the kept candidates one at a time, O(n) per point
+    added, with one modular inverse per run of up to 32 subsets; this
+    walk may step up to a run ahead of the subsets decode sees.
 
     This is the paper's attack model and identity binding's search, and
     unlock's fallback beyond the Reed-Solomon decoding radius; max_subsets

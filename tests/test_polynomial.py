@@ -299,7 +299,7 @@ def test_subset_interpolants_equal_one_interpolation_per_subset(bits, params64, 
     # (12, 6) too; (15, 12) is walked whole, back to its first position
     cap = 1000 if bits < 1024 else 200
     for m, n, limit in ((15, 12, None), (12, 6, None if bits < 1024 else cap), (23, 11, cap),
-                        (9, 1, None), (9, 9, None)):
+                        (9, 1, None), (9, 9, None), (9, 0, None), (9, 10, None)):
         # unsorted x values distinct mod p, some lifted to p or above, and
         # y values up to 3p
         xs = [x + f.p * rng.randrange(3) for x in distinct_residues(rng, f.p, m)]
@@ -307,21 +307,26 @@ def test_subset_interpolants_equal_one_interpolation_per_subset(bits, params64, 
         expected = _outright(f, points, n, limit)
         assert expected[1] is False and len(expected[0]) == min(math.comb(m, n), limit or math.inf)
         assert _walk(subset_interpolants(f, points, n), limit) == expected
+    # combinations' own error
+    with pytest.raises(ValueError):
+        next(subset_interpolants(f, points, -1))
 
 
 @pytest.mark.parametrize("bits", [64, 256])
-def test_a_division_walk_equals_one_interpolation_per_subset(bits, params64, params256):
+@pytest.mark.parametrize("walk", ["_dividing_walk", "_adding_walk"])
+def test_a_walk_equals_one_interpolation_per_subset(walk, bits, params64, params256):
     f = params64 if bits == 64 else params256
     rng = random.Random(40 + bits)
     for n in range(15):
-        for k in range(polynomial._DIVIDE_CAP + 1):
+        # the division walk takes no more than _DIVIDE_CAP points out
+        for k in range((polynomial._DIVIDE_CAP if walk == "_dividing_walk" else 10) + 1):
             m = n + k
             # whole walks up to 300 subsets, and the first 60 of longer ones
             limit = None if math.comb(m, n) <= 300 else 60
             xs = [x + f.p * rng.randrange(3) for x in distinct_residues(rng, f.p, m)]
             points = [(x, rng.randrange(3 * f.p)) for x in xs]
             expected = _outright(f, points, n, limit)
-            assert _walk(polynomial._dividing_walk(f, points, n), limit) == expected
+            assert _walk(getattr(polynomial, walk)(f, points, n), limit) == expected
             assert _walk(subset_interpolants(f, points, n), limit) == expected
 
 
@@ -329,11 +334,11 @@ def test_a_division_walk_equals_one_interpolation_per_subset(bits, params64, par
     (14, 12, False, "_dividing_walk"), (15, 12, False, "_dividing_walk"),
     (9, 6, False, "_dividing_walk"), (10, 6, False, "_dividing_walk"),
     (11, 6, False, "_dividing_walk"), (12, 6, False, "_dividing_walk"),
-    (10, 4, False, "_dividing_walk"), (160, 2, False, "_swapping_walk"),
-    (9, 1, False, "_swapping_walk"), (15, 12, True, "_swapping_walk")])
+    (10, 4, False, "_dividing_walk"), (160, 2, False, "_adding_walk"),
+    (9, 1, False, "_adding_walk"), (15, 12, True, "_adding_walk")])
 def test_subset_interpolants_pick_the_walk_by_shape(m, n, repeat, walk, params64, monkeypatch):
     picked = []
-    for name in ("_dividing_walk", "_swapping_walk"):
+    for name in ("_dividing_walk", "_adding_walk"):
         monkeypatch.setattr(polynomial, name,
                             lambda field, points, n, name=name: iter(picked.append(name) or ()))
     points = [(x, 0) for x in range(1, m + 1)]
@@ -344,9 +349,8 @@ def test_subset_interpolants_pick_the_walk_by_shape(m, n, repeat, walk, params64
 
 
 def test_subset_interpolants_raise_where_a_subset_repeats_an_x_mod_p():
-    # x = 24 is 1 mod 23. Swapping 0 for 1 on the way from {0, 24} to
-    # {1, 2} would pass through {1, 24}, which repeats an x, but the walk
-    # still yields {1, 2} and raises only at {1, 24}, the fifth subset
+    # x = 24 is 1 mod 23, so {1, 24}, the fifth subset, is the first to
+    # repeat an x: the walk yields the four before it and raises there
     f = PrimeField(23, 5)
     points = [(0, 3), (1, 4), (2, 9), (24, 7)]
     walked = _walk(subset_interpolants(f, points, 2))
@@ -367,10 +371,11 @@ def test_subset_interpolants_on_small_fields_stop_where_one_interpolation_per_su
         expected = _outright(f, points, n)
         raised += expected[1]
         assert _walk(subset_interpolants(f, points, n)) == expected
+        assert _walk(polynomial._adding_walk(f, points, n)) == expected
     assert raised > 100
 
 
-@pytest.mark.parametrize("field_name", ["prime", "gf16", "prime-repeat", "prime-swap"])
+@pytest.mark.parametrize("field_name", ["prime", "gf16", "prime-repeat", "prime-add"])
 def test_a_subset_walk_interpolates_outright_once_over_f_p_and_each_subset_otherwise(
         field_name, params64, monkeypatch):
     calls = []
@@ -381,21 +386,20 @@ def test_a_subset_walk_interpolates_outright_once_over_f_p_and_each_subset_other
 
     monkeypatch.setattr(polynomial, "lagrange_interpolate", counted)
     if field_name == "prime-repeat":
-        # x = 24 is 1 mod 23, so the fifth subset {1, 24} repeats an x. Each
-        # move drops its leaving points before it adds the entering ones, so
-        # no set on the way repeats an x before that subset, and no move
-        # falls back to an outright interpolation
+        # x = 24 is 1 mod 23, so the fifth subset {1, 24} repeats an x; the
+        # adding walk gets there with no outright interpolation
         f, n = PrimeField(23, 5), 2
         points = [(0, 3), (1, 4), (2, 9), (24, 7)]
     else:
         # 4-subsets of 10 points over F_p go to the division walk, which
-        # interpolates all 10 outright; 3-subsets go to the swap walk
+        # interpolates all 10 outright; 3-subsets go to the adding walk,
+        # which interpolates none
         f = params64 if field_name.startswith("prime") else binary_field()
-        n = 3 if field_name == "prime-swap" else 4
+        n = 3 if field_name == "prime-add" else 4
         rng = random.Random(32)
         points = [(x, rng.randrange(1 << 16)) for x in rng.sample(range(1 << 16), 10)]
     walked = _walk(subset_interpolants(f, points, n))
-    assert calls == {"prime": [10], "gf16": [4] * math.comb(10, 4)}.get(field_name, [n])
+    assert calls == {"prime": [10], "gf16": [4] * math.comb(10, 4)}.get(field_name, [])
     assert walked == _outright(f, points, n)
     assert len(walked[0]) == (4 if field_name == "prime-repeat" else math.comb(10, n))
     assert walked[1] is (field_name == "prime-repeat")
@@ -406,11 +410,13 @@ def test_a_walk_computes_one_inverse_per_run(params256, monkeypatch):
     monkeypatch.setattr(polynomial, "pow", counter, raising=False)
     rng = random.Random(33)
     points = [(x, rng.randrange(params256.p)) for x in distinct_residues(rng, params256.p, 6)]
-    # the first of the 20 3-subsets of 6 points is one outright
-    # interpolation; the other 19 go in runs of 1, 2, 4, 8 and 4, each
-    # with one inverse however many points its subsets add
-    assert len(list(polynomial._swapping_walk(params256, points, 3))) == 20
-    assert counter.inverses == 1 + 5
+    # the 20 3-subsets of 6 points go in runs of 1, 2, 4, 8 and 5, and the
+    # 15 2-subsets in runs of 1, 2, 4 and 8, each run with one inverse
+    # however many points its subsets add
+    assert len(list(polynomial._adding_walk(params256, points, 3))) == 20
+    assert counter.inverses == 5
+    assert len(list(polynomial._adding_walk(params256, points, 2))) == 15
+    assert counter.inverses == 5 + 4
 
 
 def test_a_division_walk_computes_one_inverse(params256, monkeypatch):
@@ -425,7 +431,7 @@ def test_a_division_walk_computes_one_inverse(params256, monkeypatch):
 
 def _repeat_at_fortieth(f, rng):
     """Eleven points whose 3-subsets first repeat an x mod p at the 40th,
-    {0, 7, 8}: the 8th of the run of 32 that starts at the 33rd. The walk
+    {0, 7, 8}: the 9th of the run of 32 that starts at the 32nd. The walk
     gets there from {0, 6, 10} by two adds, and only the second repeats."""
     xs = distinct_residues(rng, f.p, 10)
     xs.insert(8, xs[7] + f.p)
