@@ -246,12 +246,15 @@ def brute_force_unlock_attack(vault: Vault, key_file: KeyFile | None = None,
     budget runs out. Without the key file, every vault is read as
     classical, which can only open a classical one; with it, this
     measures how little the chaff alone protects, and a key of the wrong
-    kind for the scheme raises KeyKindMismatch as unlock does.
+    kind for the scheme raises KeyKindMismatch as unlock does. The
+    decoder's screen rejects most subsets from their constant
+    coefficient alone, before the walk builds the rest.
     """
     if key_file is None:
         vault, key_file = replace(vault, scheme=Scheme.CLASSICAL), KeyFile()
+    decode, screen = message_decoder(vault, key_file)
     message, tried = subset_search(vault.params, sorted(vault.points), vault.coeff_count,
-                                   message_decoder(vault, key_file), max_subsets)
+                                   decode, max_subsets, screen)
     return BruteForceResult(succeeded=message is not None, subsets_tried=tried,
                             message=message)
 

@@ -226,13 +226,18 @@ def encode_message(params: PrimeField, scheme: Scheme, message: bytes, seg_bits:
 
 
 def message_decoder(vault, key_file: KeyFile):
-    """Build coeffs -> message bytes for a vault (read for scheme, params,
-    seg_bits and coeff_count): per-segment unmask, reassemble, whole
-    unmask, deframe. Before any power, the key must hold as many
-    exponents as the vault's scheme takes (KeyFile() for classical), each
-    one gen_key draws, and a frame length the vault can hold.
-    The decoder raises BadLength, MalformedFrame or SignatureMismatch on
-    a wrong candidate. The inverse masks are computed once here.
+    """Build (decode, screen) for a vault (read for scheme, params,
+    seg_bits and coeff_count). decode maps coeffs -> message bytes:
+    per-segment unmask, reassemble, whole unmask, deframe. Before any
+    power, the key must hold as many exponents as the vault's scheme
+    takes (KeyFile() for classical), each one gen_key draws, and a frame
+    length the vault can hold.
+    decode raises BadLength, MalformedFrame or SignatureMismatch on a
+    wrong candidate. screen(c0) is decode's first check on its own: it
+    is false exactly when coefficient 0, unmasked by segment 1's inverse
+    mask under per-segment and parity, is no seg_bits-bit segment, so a
+    coeffs whose c0 fails it is one decode rejects with BadLength. The
+    inverse masks are computed once here.
     """
     params, seg_bits, p = vault.params, vault.seg_bits, vault.params.p
     key, framed_len = key_file.exponents, key_file.framed_len
@@ -268,4 +273,9 @@ def message_decoder(vault, key_file: KeyFile):
             except OverflowError:
                 raise BadLength("decoded value is wider than the recorded frame length") from None
         return framing.deframe(framed)
-    return decode
+
+    unmask0, limit = segment_inverses[0] if segment_inverses else 1, 1 << seg_bits
+
+    def screen(c0):
+        return c0 * unmask0 % p < limit
+    return decode, screen

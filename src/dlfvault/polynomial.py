@@ -12,7 +12,8 @@ some m points (subset_interpolants) takes them in itertools.combinations
 order, by one of two depth-first walks that the shape (m, n) picks.
 When few points are left out of each subset it interpolates all m
 outright once, then divides the left-out points out of that
-interpolant: about 2n multiplies per subset and no further inverse.
+interpolant: about 2n multiplies per subset and no further inverse, or
+O(1) for a subset whose constant coefficient fails the caller's screen.
 Otherwise it adds the kept points one at a time in Newton's form: O(n)
 per point added, and one modular inverse per run of up to 32 subsets
 for all the points that run adds. rs_decode tries the first n points'
@@ -132,20 +133,27 @@ def _inverses_mod_p(values: list[int], p: int) -> list[int]:
     return inverses
 
 
-def subset_interpolants(field, points, n):
+def subset_interpolants(field, points, n, screen=None):
     """Yield lagrange_interpolate(field, subset) for each subset in
     itertools.combinations(points, n), in that order.
 
     Over a PrimeField the shape alone picks the walk. When each subset
-    leaves out k = m - n of the m points with k <= min(2n - 2,
+    leaves out k = m - n of the m points with 1 <= k <= min(2n - 2,
     _DIVIDE_CAP), and no two x values are equal mod p, _dividing_walk
     divides the left-out points out of one interpolant of all m; any
-    other F_p walk is _adding_walk. On the first 2,000 subsets of each
-    shape of n <= 16, k <= 10 at 64 and 256 bits (CPython 3.11, 2-core
-    Xeon), the division walk ran a median 2.7-3.1x as fast as the adding
-    walk inside the rule at 1 <= k <= 5, 1.3-1.8x at k = 6 or 7 and
-    0.8-1.0x at k = 0 or 8, and outside the rule at most 1.0x. Other
+    other F_p walk, k = 0 included, is _adding_walk. On the first 2,000
+    subsets of each shape of n <= 16, k <= 10 at 64 and 256 bits
+    (CPython 3.11, 2-core Xeon), the division walk ran a median
+    2.7-3.1x as fast as the adding walk inside the rule at 1 <= k <= 5,
+    1.3-1.8x at k = 6 or 7 and 0.8-1.0x at k = 8, and outside the rule
+    at most 1.0x. Under a screen that almost every subset fails, it ran
+    1.0-3.5x as fast at k = 6 to 8 (medians 3.1-3.2x, 2.1x and 1.4-1.5x),
+    and at k = 0 the adding walk took 0.66-0.90 of its time. Other
     fields interpolate every subset outright.
+
+    screen, if given, is a test on a subset's constant coefficient that
+    the division walk applies before it builds the rest: where it fails,
+    None stands in that subset's place. The other walks ignore it.
     """
     if not isinstance(field, PrimeField):
         for subset in combinations(points, n):
@@ -153,13 +161,13 @@ def subset_interpolants(field, points, n):
         return
     points = list(points)
     k, p = len(points) - n, field.p
-    if 0 <= k <= min(2 * n - 2, _DIVIDE_CAP) and len({x % p for x, _ in points}) == len(points):
-        yield from _dividing_walk(field, points, n)
+    if 1 <= k <= min(2 * n - 2, _DIVIDE_CAP) and len({x % p for x, _ in points}) == len(points):
+        yield from _dividing_walk(field, points, n, screen)
     else:
         yield from _adding_walk(field, points, n)
 
 
-def _dividing_walk(field, points, n):
+def _dividing_walk(field, points, n, screen=None):
     """subset_interpolants over F_p by division, for m points whose x
     values are distinct mod p.
 
@@ -172,6 +180,11 @@ def _dividing_walk(field, points, n):
     gives D' = D / (X - a) by synthetic division and R' = R - top(R) * D',
     one coefficient shorter: about 2n multiplies per subset and no
     inverse. The stack holds one (R, D) per level, k at most.
+
+    With a screen, a subset's constant coefficient R'_0 = R_0 - top(R) *
+    D'_0 comes first, in O(1): D_0 = -a * D'_0 gives D'_0, or D_1 = D'_0
+    when a is 0 mod p, from one more batch inverse of every x. A subset
+    whose R'_0 fails the screen yields None, with no division.
     """
     p = field.p
     xs = [x for x, _ in points]
@@ -180,6 +193,9 @@ def _dividing_walk(field, points, n):
     if not k:
         yield root
         return
+    if screen:
+        # 1 stands in for an x that is 0 mod p, whose inverse is never read
+        inverses = _inverses_mod_p([x % p or 1 for x in xs], p)
     # per level: R, D high to low, and the points left to divide out next,
     # from the highest that leaves room for the levels below
     stack = [(root, _product_mod_p(p, xs)[::-1], iter(range(n, -1, -1)))]
@@ -189,7 +205,13 @@ def _dividing_walk(field, points, n):
         if j is None:
             stack.pop()
             continue
-        a, carry, quotient = xs[j], 0, []
+        a = xs[j]
+        if screen and len(stack) == k:
+            low = (p - master[-1]) * inverses[j] if a % p else master[-2]
+            if not screen((poly[0] - poly[-1] * low) % p):
+                yield None
+                continue
+        carry, quotient = 0, []
         for c in master[:-1]:
             carry = (carry * a + c) % p
             quotient.append(carry)

@@ -242,23 +242,26 @@ def match_points(vault: Vault, unlocking_set) -> list[tuple[int, int]]:
     return nearest_points(vault.points, vault.delta, unlocking_set)
 
 
-def subset_search(field, candidates, coeff_count, decode, max_subsets):
+def subset_search(field, candidates, coeff_count, decode, max_subsets, screen=None):
     """Interpolate at most max_subsets candidate subsets in
     itertools.combinations order, lexicographic in x, until decode
     accepts one; returns (decoded value or None, subsets tried).
     subset_interpolants walks them over F_p depth first. When few
     candidates are left out of each subset, it interpolates all of them
-    outright once, and each subset then costs about 2n multiplies.
-    Otherwise it adds the kept candidates one at a time, O(n) per point
-    added, with one modular inverse per run of up to 32 subsets; this
-    walk may step up to a run ahead of the subsets decode sees.
+    outright once, and each subset then costs about 2n multiplies, or
+    O(1) when its constant coefficient fails screen, which counts as a
+    rejected subset. Otherwise it adds the kept candidates one at a
+    time, O(n) per point added, with one modular inverse per run of up
+    to 32 subsets; this walk may step up to a run ahead of the subsets
+    decode sees.
 
     This is the paper's attack model and identity binding's search, and
     unlock's fallback beyond the Reed-Solomon decoding radius; max_subsets
     bounds this search only. Fewer than coeff_count candidates raise
     NotEnoughMatches, and a negative max_subsets raises ValueError.
     decode raises BadLength, MalformedFrame or SignatureMismatch to
-    reject a candidate polynomial.
+    reject a candidate polynomial; screen must reject only constant
+    coefficients on which decode would raise.
     """
     if len(candidates) < coeff_count:
         raise NotEnoughMatches(
@@ -267,7 +270,9 @@ def subset_search(field, candidates, coeff_count, decode, max_subsets):
         raise ValueError(f"max_subsets must be non-negative, not {max_subsets}")
     tried = 0
     for tried, coeffs in zip(range(1, max_subsets + 1),
-                             subset_interpolants(field, candidates, coeff_count)):
+                             subset_interpolants(field, candidates, coeff_count, screen)):
+        if coeffs is None:
+            continue
         try:
             return decode(coeffs), tried
         except _REJECTED:
@@ -289,7 +294,7 @@ def unlock(vault: Vault, unlocking_set, key_file: KeyFile | None = None,
     decoder pass is not counted against max_subsets. key_file may be
     omitted for classical vaults only.
     """
-    decode = message_decoder(vault, key_file or KeyFile())
+    decode, screen = message_decoder(vault, key_file or KeyFile())
     candidates = match_points(vault, unlocking_set)
     # a negative budget is subset_search's error to raise, decodable or not
     coeffs = rs_decode(vault.params, candidates, vault.coeff_count) if max_subsets >= 0 else None
@@ -299,7 +304,7 @@ def unlock(vault: Vault, unlocking_set, key_file: KeyFile | None = None,
         except _REJECTED as exc:
             raise DecodeFailed(f"the decoded polynomial is rejected: {exc}") from None
     message, tried = subset_search(vault.params, candidates, vault.coeff_count, decode,
-                                   max_subsets)
+                                   max_subsets, screen)
     if message is None:
         raise DecodeFailed(f"no subset of {tried} tried produced a valid digest")
     return message

@@ -19,11 +19,12 @@ from dlfvault.attacks import (
     sweep_csv,
     _baby_steps,
 )
-from dlfvault.dlog_codec import KeyFile
+from dlfvault.dlog_codec import KeyFile, encode_message, message_decoder
 from dlfvault.errors import BadArguments, KeyKindMismatch, MalformedFile, NotInGroup
 from dlfvault.field import PrimeField, gen_params
 from dlfvault.framing import frame
-from dlfvault.vault import Scheme, lock
+from dlfvault.polynomial import eval_poly
+from dlfvault.vault import Scheme, Vault, lock, subset_search
 
 
 def test_published_formulas_worked_values():
@@ -246,6 +247,30 @@ def test_brute_force_dlog_vault_needs_key(params64):
     assert blind.subsets_tried == math.comb(n + 2, n)  # exhausted
     keyed = brute_force_unlock_attack(vault, key_file)
     assert keyed.succeeded and keyed.message == msg
+
+
+@pytest.mark.parametrize("scheme", [Scheme.PER_SEGMENT, Scheme.PARITY])
+def test_a_screened_brute_force_opens_at_the_unscreened_subset(params64, scheme):
+    # three chaff x values below the twelve genuine ones, so the genuine
+    # subset is the last of C(15, 12) = 455
+    rng = random.Random(83)
+    coeffs, key_file = encode_message(params64, scheme, b"", 16, seed=84)
+    genuine = [(x, eval_poly(params64, coeffs, x)) for x in range(100, 100 + len(coeffs))]
+    chaff = [(x, rng.randrange(params64.p)) for x in (1, 2, 3)]
+    vault = Vault(params64, scheme, len(coeffs), 16, 0, chaff + genuine)
+    result = brute_force_unlock_attack(vault, key_file)
+    assert (result.succeeded, result.message, result.subsets_tried) == (True, b"", 455)
+    decode, screen = message_decoder(vault, key_file)
+    decoded = []
+
+    def counted(c):
+        decoded.append(c)
+        return decode(c)
+
+    assert subset_search(params64, vault.points, len(coeffs), decode, 1000) == (b"", 455)
+    # the screen leaves decode only the genuine subset
+    assert subset_search(params64, vault.points, len(coeffs), counted, 1000, screen) == (b"", 455)
+    assert decoded == [coeffs]
 
 
 def test_brute_force_rejects_a_key_of_the_wrong_kind(params64):

@@ -26,10 +26,11 @@ from helpers import (
 )
 
 def decoder(params, scheme, seg_bits, coeffs, key_file):
-    """message_decoder for a vault that holds exactly these coefficients."""
+    """message_decoder's decode for a vault that holds exactly these
+    coefficients."""
     vault = SimpleNamespace(params=params, scheme=scheme, seg_bits=seg_bits,
                             coeff_count=len(coeffs))
-    return message_decoder(vault, key_file)
+    return message_decoder(vault, key_file)[0]
 
 
 def masked_segments(params, message, seg_bits, exponent_at):
@@ -105,6 +106,33 @@ def test_parity_wrong_index_class_decodes_wrong(params64):
     assert decode(coeffs) == message
     with pytest.raises((BadLength, MalformedFrame, SignatureMismatch)):
         decode(swapped)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.name.lower())
+def test_a_failing_screen_means_decode_raises_bad_length(params256, scheme):
+    rng = random.Random(37 + scheme)
+    p, seg_bits = params256.p, 16
+    coeffs, key_file = encode_message(params256, scheme, b"screen", seg_bits, seed=38)
+    vault = SimpleNamespace(params=params256, scheme=scheme, seg_bits=seg_bits,
+                            coeff_count=len(coeffs))
+    decode, screen = message_decoder(vault, key_file)
+    assert screen(coeffs[0]) and decode(coeffs) == b"screen"
+    # segment 1's mask, by the builtin pow: a random c0 or a masked segment
+    key = key_file.exponents
+    mask = pow(params256.alpha, key[1 % len(key)], p) if scheme in (Scheme.PER_SEGMENT,
+                                                                     Scheme.PARITY) else 1
+    assert screen(mask * ((1 << seg_bits) - 1) % p) and not screen((mask << seg_bits) % p)
+    failed = 0
+    for _ in range(200):
+        c = [rng.randrange(p) if rng.randrange(2) else mask * rng.randrange(2 << seg_bits) % p
+             for _ in coeffs]
+        # exactly decode's first check, which reassemble makes on c0 unmasked
+        assert screen(c[0]) == (c[0] * pow(mask, -1, p) % p < 1 << seg_bits)
+        if not screen(c[0]):
+            failed += 1
+            with pytest.raises(BadLength):
+                decode(c)
+    assert 100 < failed < 200
 
 
 def whole_coeffs(params, message, seg_bits, kappa):

@@ -330,17 +330,44 @@ def test_a_walk_equals_one_interpolation_per_subset(walk, bits, params64, params
             assert _walk(subset_interpolants(f, points, n), limit) == expected
 
 
+@pytest.mark.parametrize("bits", [64, 256])
+def test_a_screened_division_walk_yields_none_exactly_where_the_constant_fails(
+        bits, params64, params256):
+    f = params64 if bits == 64 else params256
+    rng = random.Random(50 + bits)
+
+    def screen(c0):
+        return c0 < f.p // 2
+
+    screened = 0
+    for n in range(1, 15):
+        for k in range(1, polynomial._DIVIDE_CAP + 1):
+            m = n + k
+            limit = None if math.comb(m, n) <= 300 else 60
+            xs = [x + f.p * rng.randrange(3) for x in distinct_residues(rng, f.p, m)]
+            # an x that is 0 mod p, divided out at a leaf within the first
+            # k + 2 subsets
+            xs[m - 1 - rng.randrange(2)] = rng.choice((0, f.p))
+            points = [(x, rng.randrange(3 * f.p)) for x in xs]
+            expected, raised = _walk(polynomial._dividing_walk(f, points, n), limit)
+            walked = _walk(polynomial._dividing_walk(f, points, n, screen), limit)
+            assert walked == ([c if screen(c[0]) else None for c in expected], raised)
+            screened += walked[0].count(None)
+    assert screened > 2000
+
+
 @pytest.mark.parametrize("m, n, repeat, walk", [
     (14, 12, False, "_dividing_walk"), (15, 12, False, "_dividing_walk"),
     (9, 6, False, "_dividing_walk"), (10, 6, False, "_dividing_walk"),
     (11, 6, False, "_dividing_walk"), (12, 6, False, "_dividing_walk"),
     (10, 4, False, "_dividing_walk"), (160, 2, False, "_adding_walk"),
-    (9, 1, False, "_adding_walk"), (15, 12, True, "_adding_walk")])
+    (9, 1, False, "_adding_walk"), (15, 12, True, "_adding_walk"),
+    (12, 12, False, "_adding_walk")])
 def test_subset_interpolants_pick_the_walk_by_shape(m, n, repeat, walk, params64, monkeypatch):
     picked = []
     for name in ("_dividing_walk", "_adding_walk"):
-        monkeypatch.setattr(polynomial, name,
-                            lambda field, points, n, name=name: iter(picked.append(name) or ()))
+        monkeypatch.setattr(polynomial, name, lambda field, points, n, screen=None, name=name:
+                            iter(picked.append(name) or ()))
     points = [(x, 0) for x in range(1, m + 1)]
     if repeat:
         points[3] = (points[2][0] + params64.p, 0)
@@ -427,6 +454,10 @@ def test_a_division_walk_computes_one_inverse(params256, monkeypatch):
     # the interpolant of all 15 points; every 12-subset divides 3 out of it
     assert len(list(subset_interpolants(params256, points, 12))) == math.comb(15, 12)
     assert counter.inverses == 1
+    # and a screen adds one batch inverse of the 15 x values
+    walked = list(subset_interpolants(params256, points, 12, lambda c0: c0 % 2))
+    assert len(walked) == math.comb(15, 12) and None in walked
+    assert counter.inverses == 1 + 2
 
 
 def _repeat_at_fortieth(f, rng):
