@@ -5,29 +5,25 @@ binding.
 Coefficient lists are low-to-high: coeffs[i] multiplies X^i. Length is the
 scheme parameter, not degree, so leading zeros are legitimate.
 
-Over a PrimeField the kernels run on plain ints modulo p, and an
-interpolation inverts its n denominators together with one modular
-inverse (Montgomery's batch inversion). A walk over the n-subsets of
-some m points (subset_interpolants) takes them in itertools.combinations
-order, by one of two depth-first walks that the shape (m, n) picks.
-When few points are left out of each subset it interpolates all m
-outright once, then divides the left-out points out of that
-interpolant: about 2n multiplies per subset and no further inverse, or
-O(1) for a subset whose constant coefficient fails the caller's screen.
-Otherwise it adds the kept points one at a time in Newton's form: O(n)
-per point added, and one modular inverse per run of up to 32 subsets
-for all the points that run adds. rs_decode tries the first n points'
+Every interpolation adds the points one at a time in Newton's form,
+P += M * (y - P(x)) / M(x) and M *= (X - x), with M the master
+prod (X - x) of the points added so far: O(n) per point. Over a
+PrimeField the arithmetic is on plain ints modulo p, and an
+interpolation inverts every M(x) together with one modular inverse
+(Montgomery's batch inversion). subset_interpolants walks the n-subsets
+of some m points in itertools.combinations order by one of two
+depth-first walks, by dividing points out of one interpolant of all m
+or by adding the kept points. rs_decode tries the first n points'
 interpolant, then solves Gao's key equation on its m - n residuals,
 fraction-free: three inverses in all.
 Any other field, in practice the GF(2^16) of the identity binding, goes
-through its add/sub/mul/inv methods, interpolates by that same add step,
-walks every subset by an outright interpolation and has no decoder.
+through its add/sub/mul/inv methods, one inverse per point, walks every
+subset by an outright interpolation and has no decoder.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, zip_longest
-from operator import mul
 
 from .errors import ZeroInverse
 from .field import PrimeField
@@ -61,16 +57,14 @@ def lagrange_interpolate(field, points: list[tuple[int, int]]) -> list[int]:
     """The unique coefficient list of length len(points) through the points.
 
     x values equal in the field raise ZeroInverse. Runs in O(n^2) for n
-    points. Over a PrimeField the arithmetic is on plain ints: one master
-    product over all x, then a synthetic division and a scaled
-    accumulation per point, with one modular inverse for all the
-    denominators. Other fields use their methods and add the points one at
-    a time in Newton's form, P += M * (y - P(x)) / M(x) and M *= (X - x)
-    with M the master of the points added so far, so one inverse per point
-    and an equal x makes M(x) 0.
+    points, adding them one at a time in Newton's form, P += M * (y -
+    P(x)) / M(x) and M *= (X - x) with M the master of the points added
+    so far, so an equal x makes M(x) 0. Over a PrimeField the arithmetic
+    is on plain ints (_newton_mod_p), with one modular inverse for every
+    M(x); other fields use their methods and one inverse per point.
     """
     if isinstance(field, PrimeField):
-        return _interpolate_mod_p(field, points, _product_mod_p(field.p, [x for x, _ in points]))
+        return _newton_mod_p(field.p, points)[0]
     result, master = [0] * len(points), [1]
     for x, y in points:
         scale = field.mul(field.sub(y, eval_poly(field, result, x)),
@@ -90,27 +84,31 @@ def _product_mod_p(p: int, xs: list[int], product: tuple[int, ...] | list[int] =
     return product
 
 
-def _interpolate_mod_p(field: PrimeField, points: list[tuple[int, int]], master: list[int],
-                       divisors: list[int] | None = None) -> list[int]:
-    """lagrange_interpolate on plain ints mod p; master is _product_mod_p
-    of the points' x values. Each y is divided by its divisor, if given."""
-    p = field.p
-    n = len(points)
-    quotients, denoms = [], []
-    for x, _ in points:
-        # synthetic division: q = master / (X - x), degree n - 1
-        q = [0] * n
-        carry = 1
-        for k in range(n - 1, -1, -1):
-            q[k] = carry
-            carry = (carry * x + master[k]) % p
-        quotients.append(q)
-        # q(x) = prod_{j != i} (x_i - x_j)
-        denoms.append(eval_poly(field, q, x))
-    if divisors:
-        denoms = list(map(mul, denoms, divisors))
-    scales = [y * inverse % p for (_, y), inverse in zip(points, _inverses_mod_p(denoms, p))]
-    return [sum(map(mul, column, scales)) % p for column in zip(*quotients)]
+def _newton_mod_p(p: int, points: list[tuple[int, int]],
+                  divisors: list[int] | None = None) -> tuple[list[int], list[int]]:
+    """(P, M) on plain ints mod p, low to high: P the interpolant of the
+    points, each y divided by its divisor if given, and M their master.
+
+    Each point's M(x_i) = prod_{j < i} (x_i - x_j), times its divisor,
+    comes first, and one _inverses_mod_p inverts them all, so x values
+    equal mod p raise ZeroInverse before any add. Then the points are
+    added in turn, P += M * (y / d - P(x)) / M(x) and M *= (X - x).
+    """
+    divisors = divisors or [1] * len(points)
+    values = []
+    for i, ((x, _), d) in enumerate(zip(points, divisors)):
+        for xj, _ in points[:i]:
+            d = d * (x - xj) % p
+        values.append(d)
+    poly, master = [], [1]
+    for (x, y), d, inverse in zip(points, divisors, _inverses_mod_p(values, p)):
+        acc = 0
+        for c in reversed(poly):
+            acc = (acc * x + c) % p
+        scale = (y - d * acc) * inverse % p
+        poly = [(c + scale * q) % p for c, q in zip(poly + [0], master)]
+        master = [(lo - x * hi) % p for lo, hi in zip([0] + master, master + [0])]
+    return poly, master
 
 
 def _inverses_mod_p(values: list[int], p: int) -> list[int]:
@@ -190,9 +188,6 @@ def _dividing_walk(field, points, n, screen=None):
     xs = [x for x, _ in points]
     root = lagrange_interpolate(field, points)
     k = len(points) - n
-    if not k:
-        yield root
-        return
     if screen:
         # 1 stands in for an x that is 0 mod p, whose inverse is never read
         inverses = _inverses_mod_p([x % p or 1 for x in xs], p)
@@ -310,8 +305,7 @@ def rs_decode(field: PrimeField, points: list[tuple[int, int]],
     if m < n or len({x % p for x in xs}) < m:
         return None
     need = m - (m - n) // 2
-    master = _product_mod_p(p, xs[:n])
-    guess = _interpolate_mod_p(field, points[:n], master)
+    guess, master = _newton_mod_p(p, points[:n])
     agree, residuals = n, []
     for x, y in points[n:]:
         # stop once the count is reached, or out of reach of the points left
@@ -329,9 +323,9 @@ def rs_decode(field: PrimeField, points: list[tuple[int, int]],
     # alike: a nonzero multiple of the usual row, taken with no inverse.
     k, later = m - n, xs[n:]
     residuals += [(y - eval_poly(field, guess, x)) % p for x, y in points[n + len(residuals):]]
-    r0 = _product_mod_p(p, later)
-    r1 = _trim(_interpolate_mod_p(field, list(zip(later, residuals)), r0,
-                                  [eval_poly(field, master, x) for x in later]))
+    r1, r0 = _newton_mod_p(p, list(zip(later, residuals)),
+                           [eval_poly(field, master, x) for x in later])
+    r1 = _trim(r1)
     v0, v1 = [], [1]
     while 2 * (len(r1) - 1) >= k:
         while len(r0) >= len(r1):

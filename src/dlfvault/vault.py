@@ -1,13 +1,8 @@
 """Fuzzy vault core: points, search, file. Point placement, tolerance
 matching, subset search, lock/unlock and the DLFV format; dlog_codec
 maps messages to coefficients and back. Unlock decodes the matches as a
-Reed-Solomon codeword and walks subsets only when that finds nothing.
-The walk takes subsets in itertools.combinations order and derives each
-interpolant from one it already holds (polynomial.subset_interpolants),
-not one interpolation per subset: by dividing the left-out points out
-of the interpolant of all the points when few are left out, and
-otherwise by adding the kept points, depth first, to the interpolant of
-the points before them.
+Reed-Solomon codeword and walks subsets only when that finds nothing,
+in itertools.combinations order (polynomial.subset_interpolants).
 
 A vault is r points over a field: F_p for the four schemes here,
 GF(2^16) for identity binding, which reuses place_points, nearest_points
@@ -246,14 +241,9 @@ def subset_search(field, candidates, coeff_count, decode, max_subsets, screen=No
     """Interpolate at most max_subsets candidate subsets in
     itertools.combinations order, lexicographic in x, until decode
     accepts one; returns (decoded value or None, subsets tried).
-    subset_interpolants walks them over F_p depth first. When few
-    candidates are left out of each subset, it interpolates all of them
-    outright once, and each subset then costs about 2n multiplies, or
-    O(1) when its constant coefficient fails screen, which counts as a
-    rejected subset. Otherwise it adds the kept candidates one at a
-    time, O(n) per point added, with one modular inverse per run of up
-    to 32 subsets; this walk may step up to a run ahead of the subsets
-    decode sees.
+    polynomial.subset_interpolants walks them, and may step up to 32
+    subsets ahead of those decode sees. A subset whose constant
+    coefficient fails screen counts as a rejected subset.
 
     This is the paper's attack model and identity binding's search, and
     unlock's fallback beyond the Reed-Solomon decoding radius; max_subsets

@@ -132,8 +132,10 @@ def test_prime_field_kernels_equal_the_field_method_path(bits, params64, params2
         coeffs = [rng.randrange(f.p) for _ in range(n - zeros)] + [0] * zeros
         # x values distinct mod p, some lifted to p or above
         xs = [x + f.p * rng.randrange(3) for x in distinct_residues(rng, f.p, n)]
-        points = [(x, rng.randrange(f.p)) for x in xs]
-        assert lagrange_interpolate(f, points) == lagrange_interpolate(reference, points)
+        # y values below p, and up to 3p
+        for bound in (f.p, 3 * f.p):
+            points = [(x, rng.randrange(bound)) for x in xs]
+            assert lagrange_interpolate(f, points) == lagrange_interpolate(reference, points)
         on_poly = [(x, eval_poly(f, coeffs, x)) for x in xs]
         assert on_poly == [(x, eval_poly(reference, coeffs, x)) for x in xs]
         assert lagrange_interpolate(f, on_poly) == coeffs
@@ -318,8 +320,10 @@ def test_a_walk_equals_one_interpolation_per_subset(walk, bits, params64, params
     f = params64 if bits == 64 else params256
     rng = random.Random(40 + bits)
     for n in range(15):
-        # the division walk takes no more than _DIVIDE_CAP points out
-        for k in range((polynomial._DIVIDE_CAP if walk == "_dividing_walk" else 10) + 1):
+        # the division walk takes at least one and no more than _DIVIDE_CAP
+        # points out
+        dividing = walk == "_dividing_walk"
+        for k in range(dividing, (polynomial._DIVIDE_CAP if dividing else 10) + 1):
             m = n + k
             # whole walks up to 300 subsets, and the first 60 of longer ones
             limit = None if math.comb(m, n) <= 300 else 60
