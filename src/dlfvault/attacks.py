@@ -1,7 +1,9 @@
 """Attack analysis: the published success-probability formulas, an exact
 combinatorial oracle, a Monte Carlo estimator, a brute-force unlock
 harness, and a baby-step giant-step discrete-log solver for desk-scale
-parameters.
+parameters. The Monte Carlo draws and the solver's baby steps both run
+lane-wise: many 64-bit values packed into one int, stepped by a few
+whole-int operations.
 
 The published formulas are reproduced exactly as printed, including the
 regime where they exceed 1 and stop being probabilities; reports flag
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +25,8 @@ from .field import PrimeField
 from .vault import DEFAULT_MAX_SUBSETS, Vault, subset_search
 
 _MASK64 = (1 << 64) - 1
-# Monte Carlo trials per block whose first two draws take one lane-wise pass
+# Monte Carlo trials per block whose first two draws take one lane-wise
+# pass, and the most baby steps one lane-wise pass of the solver takes
 _LANES = 512
 # the low word of each 128-bit lane, in lane order, among the 64-bit words
 # of its native-order bytes
@@ -259,23 +263,86 @@ def brute_force_unlock_attack(vault: Vault, key_file: KeyFile | None = None,
                             message=message)
 
 
-@lru_cache(maxsize=1)
-def _baby_steps(p: int, alpha: int) -> tuple[int, dict[int, int], int]:
-    """(m, {g^j: j for j < m}, g^-m mod p) for g = alpha^2, which
-    generates the order-q subgroup of squares (p = 2q + 1), with
-    m = ceil(sqrt(q)): the baby-step table, which depends on the field
-    alone. Keyed on the exact pair, because every params load builds a
-    new PrimeField; only the last field's table is kept, and every
-    caller shares it read-only."""
-    m = math.isqrt(p // 2 - 1) + 1
-    g = alpha * alpha % p
-    baby = {}
-    acc = 1
-    for j in range(m):
-        baby[acc] = j
-        acc = acc * g % p
-    # acc is now g^m
-    return m, baby, pow(acc, -1, p)
+class _Lanes:
+    """count residues mod p packed into the 64-bit lanes of one int, lane
+    i in the int's i-th native-order word, so that one lane-wise pass
+    multiplies every residue by 4. pack and unpack are exact inverses on
+    either byte order."""
+
+    def __init__(self, count: int, p: int):
+        k = p.bit_length()
+        # times4 forms 4v + 2^(k+2) - p < 2^(k+3) in each lane, and no
+        # carry may cross into the lane above
+        assert k + 3 <= 64
+        self.count, self.p, self.shift = count, p, k + 2
+        self.ones = self.pack([1] * count)
+        # adding 2^(k+2) - 2p (or - p) to a lane below 4p sets the lane's
+        # bit k + 2 exactly when the lane is at least 2p (or p)
+        self.less2p = self.ones * ((1 << k + 2) - 2 * p)
+        self.lessp = self.ones * ((1 << k + 2) - p)
+
+    def pack(self, values: list[int]) -> int:
+        return int.from_bytes(array("Q", values).tobytes(), sys.byteorder)
+
+    def unpack(self, x: int) -> memoryview:
+        return memoryview(x.to_bytes(8 * self.count, sys.byteorder)).cast("Q")
+
+    def times4(self, x: int) -> int:
+        """Every lane v < p of x replaced by 4v mod p: a shift, then 2p
+        and then p subtracted from each lane whose carry bit says it is at
+        least that."""
+        x <<= 2
+        x -= ((x + self.less2p) >> self.shift & self.ones) * (2 * self.p)
+        return x - ((x + self.lessp) >> self.shift & self.ones) * self.p
+
+
+class _GiantSteps:
+    """Shanks' table for the order-q subgroup of squares of F_p (p = 2q + 1),
+    generated by 4: a square other than 1, so its order is the prime q.
+
+    table maps 4^(m*i) to i for i <= m, with m = isqrt(q - 1) + 1, so that
+    every x < q is m*i - j for some i <= m and j < m. The baby steps
+    j run in _LANES lanes or fewer at once, `blocks` steps each: lane i
+    starts at 4^(i*blocks). c_inv is 1 / log_4(alpha^2) mod q, found by
+    one walk at build time, which turns a log to base 4 into one to base
+    alpha^2.
+    """
+
+    def __init__(self, p: int, alpha: int):
+        q = p // 2
+        self.q = q
+        self.m = m = math.isqrt(q - 1) + 1
+        stride = pow(4, m, p)
+        self.table = {}
+        acc = 1
+        for i in range(m + 1):
+            self.table[acc] = i
+            acc = acc * stride % p
+        self.blocks = -(-m // _LANES)
+        self.starts = [pow(4, i * self.blocks, p) for i in range(-(-m // self.blocks))]
+        self.lanes = _Lanes(len(self.starts), p)
+        self.c_inv = pow(self.log4(alpha * alpha % p), -1, q)
+
+    def log4(self, gamma: int) -> int:
+        """log_4(gamma) mod q for gamma a nonzero square mod p. Lane i of
+        block b holds gamma * 4^j, j = i*blocks + b; a lane that is some
+        4^(m*idx) gives m*idx - j."""
+        lanes, table, p = self.lanes, self.table, self.lanes.p
+        x = lanes.pack([gamma * start % p for start in self.starts])
+        keys = table.keys()
+        for b in range(self.blocks):
+            values = lanes.unpack(x)
+            if not keys.isdisjoint(values):
+                i, idx = next((i, table[v]) for i, v in enumerate(values) if v in table)
+                return (self.m * idx - (i * self.blocks + b)) % self.q
+            x = lanes.times4(x)
+        raise RuntimeError(f"no giant step of the F_{p} table matches {gamma}")
+
+
+# the table depends on the field alone; keyed on the exact pair, because
+# every params load builds a new PrimeField. Only the last field's table
+# is kept, and every caller shares it read-only.
+_giant_steps = lru_cache(maxsize=1)(_GiantSteps)
 
 
 def solve_dlog_bsgs(target: int, params: PrimeField) -> int:
@@ -283,12 +350,15 @@ def solve_dlog_bsgs(target: int, params: PrimeField) -> int:
     p - 1 = 2q and baby-step giant-step in the subgroup of order q.
 
     Euler's criterion gives k's parity b: target^q is 1 for even k and
-    -1 for odd. target / alpha^b = g^e for g = alpha^2 and e < q, which
-    BSGS finds, and k = 2e + b. The first solve in a field takes
-    O(sqrt(q)) time and memory to build the baby-step table; later
-    solves in the same field reuse it and pay only the giant steps,
-    O(sqrt(q)) multiplies at most. Refuses p above 2^40, where the table
-    stops being a desk-scale object.
+    -1 for odd. gamma = target / alpha^b = alpha^(2e) for one e < q, and
+    k = 2e + b. BSGS finds log_4(gamma) = c*e mod q, c = log_4(alpha^2),
+    with 4 as the subgroup's generator: a baby step multiplies by 4,
+    which _LANES packed 64-bit lanes of one int take at once as a shift
+    and two conditional subtractions of p. The first solve in a field
+    takes O(sqrt(q)) time and memory to build the table of giant steps;
+    later solves in the same field reuse it and pay only the baby steps,
+    O(sqrt(q)) at most. Refuses p above 2^40, where the table stops
+    being a desk-scale object. NotInGroup means target = 0 mod p.
     """
     p = params.p
     if p > 1 << 40:
@@ -296,12 +366,7 @@ def solve_dlog_bsgs(target: int, params: PrimeField) -> int:
     if target % p == 0:
         raise NotInGroup("0 is outside the multiplicative group")
     target %= p
-    m, baby, giant = _baby_steps(p, params.alpha)
+    steps = _giant_steps(p, params.alpha)
     b = int(pow(target, p // 2, p) != 1)
     gamma = target * pow(params.alpha, -b, p) % p
-    for i in range(m):
-        j = baby.get(gamma)
-        if j is not None:
-            return 2 * (i * m + j) + b
-        gamma = gamma * giant % p
-    raise NotInGroup(f"{target} is not a power of alpha")
+    return 2 * (steps.log4(gamma) * steps.c_inv % steps.q) + b

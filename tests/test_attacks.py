@@ -17,7 +17,8 @@ from dlfvault.attacks import (
     published_poly_prob,
     solve_dlog_bsgs,
     sweep_csv,
-    _baby_steps,
+    _giant_steps,
+    _Lanes,
 )
 from dlfvault.dlog_codec import KeyFile, encode_message, message_decoder
 from dlfvault.errors import BadArguments, KeyKindMismatch, MalformedFile, NotInGroup
@@ -334,14 +335,22 @@ def test_bsgs_exhaustive_tiny_field():
 
 
 def test_bsgs_table_spans_the_subgroup_of_squares(params32):
-    # m = ceil(sqrt(q)) powers of alpha^2: about 1/sqrt(2) of the
-    # ceil(sqrt(p - 1)) powers of alpha a full-group table would hold
+    # m + 1 giant steps 4^(m*i), m = isqrt(q - 1) + 1, all distinct since
+    # m < q; at most _LANES lanes, none of them wholly past j = m - 1;
+    # 4^c = alpha^2 for c = 1 / c_inv
     p, alpha = params32.p, params32.alpha
-    m, baby, giant = _baby_steps(p, alpha)
-    assert m == math.isqrt(p // 2 - 1) + 1
-    assert len(baby) == m
-    assert baby[alpha * alpha % p] == 1
-    assert giant * pow(alpha, 2 * m, p) % p == 1
+    q = p // 2
+    steps = _giant_steps(p, alpha)
+    m = steps.m
+    assert m == math.isqrt(q - 1) + 1 and m * m >= q
+    assert len(steps.table) == m + 1
+    assert steps.table[1] == 0 and steps.table[pow(4, m, p)] == 1
+    assert steps.table[pow(4, m * m, p)] == m
+    count = steps.lanes.count
+    assert count <= attacks._LANES
+    assert (count - 1) * steps.blocks < m <= count * steps.blocks
+    assert steps.starts == [pow(4, i * steps.blocks, p) for i in range(count)]
+    assert pow(4, pow(steps.c_inv, -1, q), p) == alpha * alpha % p
 
 
 def test_bsgs_random_exponents_medium_field():
@@ -352,6 +361,56 @@ def test_bsgs_random_exponents_medium_field():
         assert solve_dlog_bsgs(pow(f.alpha, k, f.p), f) == k
 
 
+def test_lane_step_multiplies_every_lane_by_4(params32):
+    # (1 << 40) - 437 is the largest safe prime below 2^40, the solver's bound
+    for p in (5, params32.p, (1 << 40) - 437):
+        lanes = _Lanes(4, p)
+        values = [0, 1, p - 1, p // 4]
+        x = lanes.pack(values)
+        assert lanes.unpack(x).tolist() == values
+        for _ in range(3):
+            values = [4 * v % p for v in values]
+            x = lanes.times4(x)
+            assert lanes.unpack(x).tolist() == values
+
+
+def _lane_edge_ks(f):
+    """Both k, one of each parity, whose walk first meets a giant step at
+    each lane edge: baby step j = i*blocks + b in lane 0 of block 0 and
+    of the last block, in the last lane of block 0, and at j = m - 1,
+    which lies in the last lane. The last lane's last block, j =
+    count*blocks - 1, is j = m - 1 or past it; past it, every gamma*4^j
+    that is a giant step has a match at j - m, one block or more before
+    it, so no walk ends there."""
+    steps = _giant_steps(f.p, f.alpha)
+    m, q, blocks, count = steps.m, f.p // 2, steps.blocks, steps.lanes.count
+    giants = {m * i % q for i in range(m + 1)}
+
+    def first_hit(x):
+        # the walk's order: blocks in turn, lanes in turn within a block
+        return next(i * blocks + b for b in range(blocks) for i in range(count)
+                    if (x + i * blocks + b) % q in giants)
+
+    ks = []
+    for j in (0, blocks - 1, (count - 1) * blocks, m - 1):
+        x = next(x for x in ((m * idx - j) % q for idx in range(m // 2, m + 1))
+                 if first_hit(x) == j)
+        e = x * steps.c_inv % q
+        assert pow(f.alpha, 2 * e, f.p) == pow(4, x, f.p)
+        ks += [2 * e, 2 * e + 1]
+    return ks
+
+
+def test_bsgs_hits_at_the_lane_edges(params32):
+    # m is 44,932 over 88 blocks at 32 bits and 2,840 over 6 blocks at 24,
+    # neither a multiple of _LANES; at 14 bits m = 88 lanes of one block
+    for f in (params32, gen_params(24, seed=77), gen_params(14, seed=81)):
+        steps = _giant_steps(f.p, f.alpha)
+        assert steps.m < attacks._LANES or steps.m % attacks._LANES
+        for k in _lane_edge_ks(f):
+            assert solve_dlog_bsgs(pow(f.alpha, k, f.p), f) == k
+
+
 def test_bsgs_reuses_one_table_per_field(params32):
     # alternating fields rebuilds the table each time, so a stale table
     # would answer some solve with a wrong k
@@ -360,25 +419,33 @@ def test_bsgs_reuses_one_table_per_field(params32):
     for f in fields * 2:
         k = rng.randrange(f.p - 1)
         assert solve_dlog_bsgs(pow(f.alpha, k, f.p), f) == k
-    misses = _baby_steps.cache_info().misses
+    misses = _giant_steps.cache_info().misses
     k = rng.randrange(params32.p - 1)
     assert solve_dlog_bsgs(pow(params32.alpha, k, params32.p), params32) == k
     # a field equal to the cached one, built anew as a params load does
     same = PrimeField(params32.p, params32.alpha)
     assert solve_dlog_bsgs(params32.alpha, same) == 1
-    assert _baby_steps.cache_info().misses == misses
+    assert _giant_steps.cache_info().misses == misses
 
 
 def test_bsgs_not_in_group():
-    _baby_steps.cache_clear()
+    _giant_steps.cache_clear()
     with pytest.raises(NotInGroup):
         solve_dlog_bsgs(0, PrimeField(23, 5))
-    assert _baby_steps.cache_info().misses == 0
+    assert _giant_steps.cache_info().misses == 0
+
+
+def test_bsgs_reports_a_table_without_a_match_as_a_fault():
+    # unreachable in a certified field: NotInGroup stays for target 0 alone
+    steps = attacks._GiantSteps(23, 5)
+    steps.table = {}
+    with pytest.raises(RuntimeError):
+        steps.log4(1)
 
 
 def test_bsgs_rejects_huge_p():
     f = gen_params(41, seed=79)
-    _baby_steps.cache_clear()
+    _giant_steps.cache_clear()
     with pytest.raises(BadArguments):
         solve_dlog_bsgs(1, f)
-    assert _baby_steps.cache_info().misses == 0
+    assert _giant_steps.cache_info().misses == 0
