@@ -3,17 +3,21 @@ from pathlib import Path
 
 import pytest
 
+import dlfvault
 from dlfvault.field import gen_params
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+# the directory holding the dlfvault these tests import: src in a checkout,
+# site-packages once installed
+PACKAGE_ROOT = str(Path(dlfvault.__file__).resolve().parent.parent)
 
 
 @pytest.fixture(scope="session", autouse=True)
-def child_interpreters_import_src():
-    """pyproject's pythonpath puts src on this interpreter's sys.path only;
-    tests that start `python -m dlfvault.cli` need it in PYTHONPATH too."""
+def child_interpreters_import_this_dlfvault():
+    """Tests that start `python -m dlfvault.cli` run the dlfvault this
+    interpreter imported: pyproject's pythonpath reaches this interpreter's
+    sys.path only, and an installed copy must not lose to src."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])))
         yield
 
 

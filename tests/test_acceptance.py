@@ -21,7 +21,7 @@ from dlfvault.attacks import (
 from dlfvault.errors import FuzzyVaultError
 from dlfvault.field import PrimeField, gen_params
 from dlfvault.framing import frame, md5
-from dlfvault.identity import decode_identity, encode_identity, identity_vault_roundtrip, make_identity_record
+from dlfvault.identity import IdentityRecord, decode_identity, encode_identity, identity_vault_roundtrip
 from dlfvault.polynomial import crc16_remainder, eval_poly, lagrange_interpolate
 from dlfvault.vault import Scheme, lock, unlock
 
@@ -236,7 +236,7 @@ def test_criterion_8_identity_binding(report):
         if decode_identity(encode_identity(kappa, ident)) != (kappa, ident):
             ok = False
 
-    rec = make_identity_record(rng.randrange(1 << 128), rng.randrange(1 << 64))
+    rec = IdentityRecord(rng.randrange(1 << 128), rng.randrange(1 << 64))
     A = rng.sample(range(1 << 16), 13)
     ok = ok and identity_vault_roundtrip(rec, A, chaff_count=30, seed=2106)
 

@@ -24,7 +24,7 @@ from dlfvault.dlog_codec import KeyFile, encode_message, message_decoder
 from dlfvault.errors import BadArguments, KeyKindMismatch, MalformedFile, NotInGroup
 from dlfvault.field import PrimeField, gen_params
 from dlfvault.framing import frame
-from dlfvault.polynomial import eval_poly
+from dlfvault.polynomial import eval_poly, lagrange_interpolate
 from dlfvault.vault import Scheme, Vault, lock, subset_search
 
 
@@ -248,6 +248,12 @@ def test_brute_force_dlog_vault_needs_key(params64):
     assert blind.subsets_tried == math.comb(n + 2, n)  # exhausted
     keyed = brute_force_unlock_attack(vault, key_file)
     assert keyed.succeeded and keyed.message == msg
+    # another lock's key rejects this vault's polynomial, so the walk
+    # runs its whole budget
+    _, other_key = lock(msg, A, Scheme.PER_SEGMENT, params64, chaff_count=2,
+                        seed=85, seg_bits=16)
+    wrong = brute_force_unlock_attack(vault, other_key, max_subsets=100)
+    assert (wrong.succeeded, wrong.subsets_tried) == (False, 100)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.PER_SEGMENT, Scheme.PARITY])
@@ -258,20 +264,35 @@ def test_a_screened_brute_force_opens_at_the_unscreened_subset(params64, scheme)
     coeffs, key_file = encode_message(params64, scheme, b"", 16, seed=84)
     genuine = [(x, eval_poly(params64, coeffs, x)) for x in range(100, 100 + len(coeffs))]
     chaff = [(x, rng.randrange(params64.p)) for x in (1, 2, 3)]
-    vault = Vault(params64, scheme, len(coeffs), 16, 0, chaff + genuine)
-    result = brute_force_unlock_attack(vault, key_file)
-    assert (result.succeeded, result.message, result.subsets_tried) == (True, b"", 455)
-    decode, screen = message_decoder(vault, key_file)
-    decoded = []
+    low = (Vault(params64, scheme, len(coeffs), 16, 0, chaff + genuine), key_file, coeffs, 455)
+    # twelve set values over the top of the benchmark's 64-bit field, among
+    # which lock places the chaff so that the genuine subset is the 378th
+    # and each one before it holds chaff; the screen rejects those from
+    # their constant coefficient, unmasked by segment 1's inverse mask,
+    # which under parity is kappa_odd's
+    f = gen_params(64, seed=42)
+    vault, key_file = lock(b"", [f.p - 1 - i * (f.p // 40) for i in range(12)], scheme, f,
+                           chaff_count=3, seed=3, seg_bits=16)
+    genuine = [pt for pt, is_genuine in zip(vault.points, vault.genuine_mask) if is_genuine]
+    top = (vault, key_file, lagrange_interpolate(f, genuine), 378)
+    for vault, key_file, coeffs, genuine_at in (low, top):
+        result = brute_force_unlock_attack(vault, key_file)
+        assert (result.succeeded, result.message, result.subsets_tried) == (True, b"", genuine_at)
+        # keyless, the walk fails on all 455 subsets, or on as many as its cap allows
+        blind, capped = brute_force_unlock_attack(vault), brute_force_unlock_attack(vault, max_subsets=100)
+        assert (blind.succeeded, blind.subsets_tried, capped.subsets_tried) == (False, 455, 100)
+        decode, screen = message_decoder(vault, key_file)
+        decoded = []
 
-    def counted(c):
-        decoded.append(c)
-        return decode(c)
+        def counted(c):
+            decoded.append(c)
+            return decode(c)
 
-    assert subset_search(params64, vault.points, len(coeffs), decode, 1000) == (b"", 455)
-    # the screen leaves decode only the genuine subset
-    assert subset_search(params64, vault.points, len(coeffs), counted, 1000, screen) == (b"", 455)
-    assert decoded == [coeffs]
+        points = sorted(vault.points)
+        assert subset_search(vault.params, points, len(coeffs), decode, 1000) == (b"", genuine_at)
+        # the screen leaves decode only the genuine subset
+        assert subset_search(vault.params, points, len(coeffs), counted, 1000, screen) == (b"", genuine_at)
+        assert decoded == [coeffs]
 
 
 def test_brute_force_rejects_a_key_of_the_wrong_kind(params64):
@@ -359,6 +380,10 @@ def test_bsgs_random_exponents_medium_field():
     for _ in range(20):
         k = rng.randrange(f.p - 1)
         assert solve_dlog_bsgs(pow(f.alpha, k, f.p), f) == k
+    # at 36 bits the lanes hold values of up to 39 bits
+    f = gen_params(36, seed=36)
+    k = 123456789012 % (f.p - 1)
+    assert solve_dlog_bsgs(pow(f.alpha, k, f.p), f) == k
 
 
 def test_lane_step_multiplies_every_lane_by_4(params32):
@@ -402,12 +427,16 @@ def _lane_edge_ks(f):
 
 
 def test_bsgs_hits_at_the_lane_edges(params32):
-    # m is 44,932 over 88 blocks at 32 bits and 2,840 over 6 blocks at 24,
-    # neither a multiple of _LANES; at 14 bits m = 88 lanes of one block
-    for f in (params32, gen_params(24, seed=77), gen_params(14, seed=81)):
+    # m is 44,932 over 88 blocks at 32 bits, 40,581 over 80 blocks in the
+    # benchmark's 32-bit field and 2,840 over 6 blocks at 24, none a
+    # multiple of _LANES; at 14 bits m = 88 lanes of one block. Each field
+    # also solves k = 0, 1, q and q + 1 (the order-q subgroup's edges in both
+    # parities), p - 2 and one k inside
+    for f in (params32, gen_params(32, seed=42), gen_params(24, seed=77), gen_params(14, seed=81)):
         steps = _giant_steps(f.p, f.alpha)
         assert steps.m < attacks._LANES or steps.m % attacks._LANES
-        for k in _lane_edge_ks(f):
+        q = f.p // 2
+        for k in _lane_edge_ks(f) + [0, 1, q, q + 1, f.p - 2, 123456789 % (f.p - 1)]:
             assert solve_dlog_bsgs(pow(f.alpha, k, f.p), f) == k
 
 

@@ -405,11 +405,12 @@ def test_attack_vault_mode(tmp_path, capsys, field16):
                    "--max-subsets", "100000"])
     assert rc == 0
     printed = capsys.readouterr().out
-    assert "succeeded=true" in printed
+    # 24 points for 24 coefficients: one subset
+    assert "succeeded=true\nsubsets_tried=1\n" in printed
     rc = cli.main(["attack", "--vault", str(vault_path), "--max-subsets", "2000"])
     assert rc == 0
     printed = capsys.readouterr().out
-    assert "succeeded=false" in printed
+    assert "succeeded=false\nsubsets_tried=1\n" in printed
 
 
 def test_attack_vault_mode_rejects_a_key_of_the_wrong_kind(tmp_path, capsys, field16):

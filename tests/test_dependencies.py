@@ -1,5 +1,6 @@
 """The package has no runtime dependencies, no dead names and no syntax
-newer than its declared Python floor, and these tests keep it so."""
+newer than its declared Python floor, its CI workflow holds no library
+checks of its own, and these tests keep it so."""
 
 import ast
 import re
@@ -123,3 +124,10 @@ def test_no_seed_parameter_has_a_default():
             if any(arg.arg == "seed" for arg in with_default):
                 defaulted.append(f"{path.name}: {node.name}")
     assert defaulted == []
+
+
+def test_the_ci_workflow_runs_no_inline_python():
+    # the library's checks belong to these tests, which CI runs against the
+    # installed package; the workflow itself only drives the console script
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    assert re.findall(r"\bpython[\d.]*\s+(?:-c\b|-?\s*<<|-\s*$)", workflow, re.M) == []

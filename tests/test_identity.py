@@ -70,6 +70,7 @@ def test_encode_validates_ranges():
 
 
 def test_identity_record_checks_its_own_ranges():
+    # bench/workloads.py still calls the alias
     assert make_identity_record is IdentityRecord
     with pytest.raises(ValueError, match="^kappa must fit in 128 bits$"):
         IdentityRecord(1 << KAPPA_BITS, 0)
@@ -143,7 +144,7 @@ def test_identity_file_refuses_a_coefficient_decode_refuses():
 
 def test_vault_roundtrip_exact_match():
     rng = random.Random(62)
-    rec = make_identity_record(rng.randrange(1 << 128), rng.randrange(1 << 64))
+    rec = IdentityRecord(rng.randrange(1 << 128), rng.randrange(1 << 64))
     A = rng.sample(range(1 << 16), 13)
     assert identity_vault_roundtrip(rec, A, chaff_count=40, seed=63)
     # extra genuine elements are fine too
@@ -156,7 +157,7 @@ def test_vault_roundtrip_searches_past_chaff_hits():
     # subset search must reject the subsets holding them, not just
     # interpolate the first 13 matches
     rng = random.Random(68)
-    rec = make_identity_record(rng.randrange(1 << 128), rng.randrange(1 << 64))
+    rec = IdentityRecord(rng.randrange(1 << 128), rng.randrange(1 << 64))
     A = rng.sample(range(1 << 16), 13)
     for seed in range(20):
         assert identity_vault_roundtrip(rec, A, chaff_count=2, seed=seed,
@@ -165,7 +166,7 @@ def test_vault_roundtrip_searches_past_chaff_hits():
 
 def test_vault_roundtrip_partial_overlap_fails():
     rng = random.Random(65)
-    rec = make_identity_record(rng.randrange(1 << 128), rng.randrange(1 << 64))
+    rec = IdentityRecord(rng.randrange(1 << 128), rng.randrange(1 << 64))
     A = rng.sample(range(1000, 60000), 13)
     B = A[:9] + [3, 7, 11, 15]
     with pytest.raises(NotEnoughMatches):
@@ -173,7 +174,7 @@ def test_vault_roundtrip_partial_overlap_fails():
 
 
 def test_vault_roundtrip_validates_input():
-    rec = make_identity_record(5, 6)
+    rec = IdentityRecord(5, 6)
     with pytest.raises(LockingSetTooSmall):
         identity_vault_roundtrip(rec, list(range(12)), chaff_count=0, seed=0)
     with pytest.raises(ValueError):
@@ -183,7 +184,7 @@ def test_vault_roundtrip_validates_input():
 
 
 def test_vault_roundtrip_rejects_a_negative_chaff_count():
-    rec = make_identity_record(5, 6)
+    rec = IdentityRecord(5, 6)
     with pytest.raises(ValueError, match="chaff_count"):
         identity_vault_roundtrip(rec, list(range(0, 260, 20)), chaff_count=-1, seed=0)
 
@@ -195,7 +196,7 @@ def test_corrupted_point_rejected_through_interpolation():
     rng = random.Random(67)
     rejected = 0
     for _ in range(50):
-        rec = make_identity_record(rng.randrange(1 << 128), rng.randrange(1 << 64))
+        rec = IdentityRecord(rng.randrange(1 << 128), rng.randrange(1 << 64))
         coeffs = encode_identity(rec.kappa128, rec.id64)
         xs = rng.sample(range(1 << 16), COEFF_COUNT)
         points = [(x, eval_poly(gf, coeffs, x)) for x in xs]

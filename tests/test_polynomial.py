@@ -271,6 +271,9 @@ def test_rs_decode_computes_one_inverse_for_a_guess_and_three_for_a_decode(
         inverses.append(counter.inverses - before)
     assert inverses == [1, 1, 3]
     assert counter.powers == 0
+    # six errors, one past the radius: the codeword's polynomial keeps 11
+    # of the 17 points, one short of the 12 a decode needs
+    assert rs_decode(f, _with_errors(rng, f.p, points, [0] + rng.sample(range(1, m), 5)), n) is None
 
 
 # subset walks
