@@ -37,7 +37,7 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import framing
+from . import _draw, framing
 from ._wire import check_end, pack_lpint, read_header, take, unpack_lpint
 from .errors import BadLength, KeyKindMismatch, MalformedFile, MessageTooLarge
 from .field import PrimeField
@@ -83,10 +83,12 @@ def _exponent_ranges(params: PrimeField, size: int) -> list[range]:
 
 
 def gen_key(params: PrimeField, scheme: Scheme, seed: int) -> tuple[int, ...]:
-    """Draw the scheme's exponents from a seeded rng, in tuple order; a
-    value that names no Scheme raises ValueError."""
-    rng = random.Random(seed)
-    return tuple(rng.randrange(r.start, r.stop, r.step)
+    """Draw the scheme's exponents from a seeded getrandbits stream, in
+    tuple order, each uniform over its range (see _draw); a value that
+    names no Scheme raises ValueError."""
+    getrandbits = random.Random(seed).getrandbits
+    # len() of a range is capped at sys.maxsize, and these reach p
+    return tuple(r[_draw.below(getrandbits, (r.stop - r.start + r.step - 1) // r.step)]
                  for r in _exponent_ranges(params, _KEY_SIZE[Scheme(scheme)]))
 
 

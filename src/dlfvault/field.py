@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import gcd, isqrt, prod
 
 from ._wire import check_end, pack_lpint, read_header, unpack_lpint
-from .errors import BadFactorization, MalformedFile, ZeroInverse
+from .errors import BadFactorization, MalformedFile
 
 # distinct (p, alpha) pairs whose safety verdict is remembered per process
 _PROVEN_FIELDS = 64
@@ -325,16 +325,18 @@ GF16_REDUCTION_POLY = 0x1002B
 
 
 class BinaryField16:
-    """GF(2^16) modulo GF16_REDUCTION_POLY, with log/exp tables over the
-    generator x + 1.
+    """GF(2^16) modulo GF16_REDUCTION_POLY: its size and the log/exp
+    tables over the generator x + 1.
 
-    Addition is xor. Multiplication and inversion go through the tables,
-    two array("H")s of 2 bytes per entry, about 0.4 MB together. _log
-    has 65536 entries; _exp holds the 65535-element orbit of x + 1 twice
-    over, so a product is _exp[log a + log b] and an inverse
-    _exp[65535 - log x], with no reduction mod 65535. Building them walks
-    the orbit once, so share the instance from binary_field() instead of
-    constructing ad hoc.
+    Addition is xor; products and inverses are table lookups, which
+    polynomial.eval_poly and lagrange_interpolate make on the tables
+    directly. The tables are two array("H")s of 2 bytes per entry, about
+    0.4 MB together. log has 65536 entries, log[0] unused; exp holds the
+    65535-element orbit of x + 1 twice over, so a product of nonzero a
+    and b is exp[log[a] + log[b]] and an inverse exp[65535 - log[x]],
+    with no reduction mod 65535. Building them walks the orbit once, so
+    share the instance from binary_field() instead of constructing ad
+    hoc.
     """
 
     size = 1 << 16
@@ -356,28 +358,13 @@ class BinaryField16:
         # x + 1 generates the multiplicative group exactly when its orbit
         # first returns to 1 at step 65535; otherwise the tables are wrong.
         # log[1] is the last step that stood on 1, so log[1] == 0 says 1
-        # appears once in the orbit, twice in the doubled _exp, without a
+        # appears once in the orbit, twice in the doubled exp, without a
         # scan of it
         if acc != 1 or log[1] != 0:
             raise RuntimeError("x + 1 does not generate GF(2^16)*")
         exp *= 2
-        self._exp = exp
-        self._log = log
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
-    sub = add
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
-
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroInverse("0 has no multiplicative inverse")
-        return self._exp[65535 - self._log[x]]
+        self.exp = exp
+        self.log = log
 
 
 @lru_cache(maxsize=None)

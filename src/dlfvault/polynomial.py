@@ -16,9 +16,12 @@ depth-first walks, by dividing points out of one interpolant of all m
 or by adding the kept points. rs_decode tries the first n points'
 interpolant, then solves Gao's key equation on its m - n residuals,
 fraction-free: three inverses in all.
-Any other field, in practice the GF(2^16) of the identity binding, goes
-through its add/sub/mul/inv methods, one inverse per point, walks every
-subset by an outright interpolation and has no decoder.
+Over GF(2^16), the identity binding's field, the kernels run on the
+field's log/exp tables: a product of nonzero a and b is exp[log a +
+log b], sums are xor, and an interpolation takes one table inverse per
+point. Its elements are ints in [0, 65536), and any other x raises
+ValueError. It walks every subset by an outright interpolation and has
+no decoder.
 """
 
 from __future__ import annotations
@@ -41,16 +44,16 @@ _DIVIDE_CAP = 8
 
 
 def eval_poly(field, coeffs: list[int], x: int) -> int:
-    """Horner evaluation of the polynomial at x."""
-    acc = 0
+    """Horner evaluation of the polynomial at x: over a PrimeField at any
+    int x, which the arithmetic reduces mod p; over GF(2^16) at an x in
+    [0, 65536), or ValueError."""
     if isinstance(field, PrimeField):
-        p = field.p
+        acc, p = 0, field.p
         for c in reversed(coeffs):
             acc = (acc * x + c) % p
         return acc
-    for c in reversed(coeffs):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
+    _check_gf16(x)
+    return _eval_gf16(field.exp, field.log, coeffs, x)
 
 
 def lagrange_interpolate(field, points: list[tuple[int, int]]) -> list[int]:
@@ -61,18 +64,67 @@ def lagrange_interpolate(field, points: list[tuple[int, int]]) -> list[int]:
     P(x)) / M(x) and M *= (X - x) with M the master of the points added
     so far, so an equal x makes M(x) 0. Over a PrimeField the arithmetic
     is on plain ints (_newton_mod_p), with one modular inverse for every
-    M(x); other fields use their methods and one inverse per point.
+    M(x); over GF(2^16) it is on the tables (_newton_gf16), with one
+    table inverse per point, and a coordinate outside [0, 65536) raises
+    ValueError.
     """
     if isinstance(field, PrimeField):
         return _newton_mod_p(field.p, points)[0]
-    result, master = [0] * len(points), [1]
+    return _newton_gf16(field.exp, field.log, points)
+
+
+def _check_gf16(x: int) -> None:
+    # the tables read log[x] for any x they are given: -1 is log[65535],
+    # and 65536 past the end
+    if not 0 <= x < 1 << 16:
+        raise ValueError(f"{x} is not a GF(2^16) element, an int in [0, 65536)")
+
+
+def _eval_gf16(exp, log, coeffs: list[int], x: int) -> int:
+    """Horner's rule over GF(2^16) on the tables, acc = exp[log acc +
+    log x] ^ c, where a zero acc multiplies to 0; at x = 0 the value is
+    the constant coefficient."""
+    if not x:
+        return coeffs[0] if coeffs else 0
+    lx, acc = log[x], 0
+    for c in reversed(coeffs):
+        acc = exp[log[acc] + lx] ^ c if acc else c
+    return acc
+
+
+def _newton_gf16(exp, log, points: list[tuple[int, int]]) -> list[int]:
+    """The interpolant of the points over GF(2^16), low to high, by
+    Newton's form on the tables; subtraction is xor.
+
+    M(x) = prod_{j < i} (x + x_j) is a sum of logs, and 0, which raises
+    ZeroInverse, exactly when x repeats an earlier x_j. The scale (y +
+    P(x)) / M(x) is then one table inverse: its log is log(y + P(x)) -
+    log M(x) mod 65535, and each coefficient q of M adds exp[log q +
+    that log] to P.
+    """
+    poly, master, xs = [], [1], []
     for x, y in points:
-        scale = field.mul(field.sub(y, eval_poly(field, result, x)),
-                          field.inv(eval_poly(field, master, x)))
-        for k, c in enumerate(master):
-            result[k] = field.add(result[k], field.mul(c, scale))
-        master = [field.sub(lo, field.mul(x, hi)) for lo, hi in zip([0] + master, master + [0])]
-    return result
+        _check_gf16(x)
+        _check_gf16(y)
+        log_mx = 0
+        for xj in xs:
+            if x == xj:
+                raise ZeroInverse("two interpolation x values are equal")
+            log_mx += log[x ^ xj]
+        xs.append(x)
+        d = y ^ _eval_gf16(exp, log, poly, x)
+        poly.append(0)
+        if d:
+            shift = (log[d] - log_mx) % 65535
+            poly = [c ^ exp[log[q] + shift] if q else c for c, q in zip(poly, master)]
+        # M *= (X + x)
+        if x:
+            lx = log[x]
+            master = [lo ^ exp[log[hi] + lx] if hi else lo
+                      for lo, hi in zip([0] + master, master + [0])]
+        else:
+            master.insert(0, 0)
+    return poly
 
 
 def _product_mod_p(p: int, xs: list[int], product: tuple[int, ...] | list[int] = (1,)) -> list[int]:

@@ -21,7 +21,7 @@ import struct
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field as dc_field
 
-from . import framing
+from . import _draw, framing
 from ._wire import check_end, pack_lpint, read_header, take, unpack_lpint
 from .dlog_codec import (
     KeyFile,
@@ -146,14 +146,14 @@ def _check_gaps(xs, delta, error, what):
 
 
 def place_points(field, coeffs, locking_set, chaff_count, delta, seed):
-    """The vault of Juels and Sudan over a PrimeField, whose polynomials are
-    evaluated on plain ints mod p, or over any other field with
-    add/sub/mul/inv/size (GF(2^16) for identity binding), through those
-    methods.
+    """The vault of Juels and Sudan over a PrimeField or over the GF(2^16)
+    of identity binding; polynomial.eval_poly evaluates on either.
 
     Checks chaff_count and delta are non-negative and the locking set is
     valid and no smaller than coeffs, evaluates the coefficient polynomial
-    on it, adds chaff_count off-polynomial points, and scrambles the order.
+    on it, adds chaff_count off-polynomial points, and scrambles the order
+    by a Fisher-Yates shuffle. Chaff and scramble each draw from their
+    own seeded getrandbits stream (see _draw), and from nothing else.
     Returns (points, genuine_mask).
     """
     if chaff_count < 0:
@@ -167,9 +167,9 @@ def place_points(field, coeffs, locking_set, chaff_count, delta, seed):
             f"got {len(locking_set)}")
     genuine = [(a, eval_poly(field, coeffs, a)) for a in locking_set]
     chaff = _generate_chaff(field, coeffs, sorted(locking_set), chaff_count,
-                            delta, random.Random(_subseed(seed, "chaff")))
+                            delta, random.Random(_subseed(seed, "chaff")).getrandbits)
     tagged = [(point, True) for point in genuine] + [(point, False) for point in chaff]
-    random.Random(_subseed(seed, "scramble")).shuffle(tagged)
+    _draw.fisher_yates(random.Random(_subseed(seed, "scramble")).getrandbits, tagged)
     return [point for point, _ in tagged], [is_genuine for _, is_genuine in tagged]
 
 
@@ -188,14 +188,14 @@ def lock(message: bytes, locking_set, scheme: Scheme, params: PrimeField,
                  delta=delta, points=points, genuine_mask=mask), key_file
 
 
-def _generate_chaff(field, coeffs, taken_xs, count, delta, rng):
+def _generate_chaff(field, coeffs, taken_xs, count, delta, getrandbits):
     """count points (u, v) with v != P(u), every x gap above 2*delta."""
-    gap = 2 * delta
+    gap, size = 2 * delta, field.size
     xs = list(taken_xs)
     chaff = []
     for _ in range(count):
         for _ in range(_CHAFF_ATTEMPTS):
-            u = rng.randrange(field.size)
+            u = _draw.below(getrandbits, size)
             # an x within gap of u would be the first one at or above u - gap
             i = bisect_left(xs, u - gap)
             if i == len(xs) or xs[i] - u > gap:
@@ -207,7 +207,7 @@ def _generate_chaff(field, coeffs, taken_xs, count, delta, rng):
         on_poly = eval_poly(field, coeffs, u)
         # one draw from a (size - 1)-element range, shifted around P(u):
         # uniform over the field minus the polynomial value
-        v = rng.randrange(field.size - 1)
+        v = _draw.below(getrandbits, size - 1)
         if v >= on_poly:
             v += 1
         chaff.append((u, v))

@@ -3,10 +3,12 @@
 import builtins
 import dataclasses
 import struct
+from types import SimpleNamespace
 
 from dlfvault._wire import pack_lpint
 from dlfvault.attacks import _MASK64, _splitmix64
-from dlfvault.field import GF16_REDUCTION_POLY
+from dlfvault.errors import ZeroInverse
+from dlfvault.field import GF16_REDUCTION_POLY, binary_field
 
 # 65,535 bytes, the widest integer a DLFK length prefix carries; even
 WIDE_EXPONENT = 1 << 8 * 0xFFFF - 1
@@ -77,6 +79,62 @@ def gf16_clmul(a, b):
         if a & 0x10000:
             a ^= GF16_REDUCTION_POLY
     return r
+
+
+class GF16Methods:
+    """GF(2^16) as an object with add/sub/mul/inv methods on the tables of
+    binary_field(): the method path polynomial's GF(2^16) kernels replaced,
+    kept as their reference."""
+
+    size = 1 << 16
+
+    def __init__(self):
+        gf = binary_field()
+        self._exp, self._log = gf.exp, gf.log
+
+    def add(self, a, b):
+        return a ^ b
+
+    sub = add
+
+    def mul(self, a, b):
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
+
+    def inv(self, x):
+        if x == 0:
+            raise ZeroInverse("0 has no multiplicative inverse")
+        return self._exp[65535 - self._log[x]]
+
+
+def method_field(field):
+    """F_p as an object with add/sub/mul/inv methods built from builtin
+    `% p` and `pow(x, -1, p)`: the reference for the plain-int kernels."""
+    p = field.p
+    return SimpleNamespace(add=lambda a, b: (a + b) % p, sub=lambda a, b: (a - b) % p,
+                           mul=lambda a, b: a * b % p, inv=lambda x: pow(x, -1, p), size=p)
+
+
+def method_eval_poly(field, coeffs, x):
+    """Horner evaluation through the field's methods."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = field.add(field.mul(acc, x), c)
+    return acc
+
+
+def method_interpolate(field, points):
+    """Newton's form through the field's methods, one inverse per point:
+    P += M * (y - P(x)) / M(x) and M *= (X - x)."""
+    result, master = [0] * len(points), [1]
+    for x, y in points:
+        scale = field.mul(field.sub(y, method_eval_poly(field, result, x)),
+                          field.inv(method_eval_poly(field, master, x)))
+        for k, c in enumerate(master):
+            result[k] = field.add(result[k], field.mul(c, scale))
+        master = [field.sub(lo, field.mul(x, hi)) for lo, hi in zip([0] + master, master + [0])]
+    return result
 
 
 def sample_distinct(seed, trial, n, r):

@@ -3,6 +3,7 @@ newer than its declared Python floor, its CI workflow holds no library
 checks of its own, and these tests keep it so."""
 
 import ast
+import random
 import re
 import sys
 from pathlib import Path
@@ -124,6 +125,23 @@ def test_no_seed_parameter_has_a_default():
             if any(arg.arg == "seed" for arg in with_default):
                 defaulted.append(f"{path.name}: {node.name}")
     assert defaulted == []
+
+
+def test_no_module_draws_past_getrandbits():
+    # vault layouts and keys are defined on the getrandbits stream alone
+    # (dlfvault._draw); randrange, shuffle and the rest reach it through
+    # internals that may change between Python versions
+    methods = {name for name in dir(random.Random) if not name.startswith("_")}
+    calls = []
+    for path, tree in _parsed("src/dlfvault"):
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in methods - {"getrandbits"}):
+                calls.append(f"{path.name}:{node.lineno}: {node.func.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "random":
+                calls += [f"{path.name}:{node.lineno}: {alias.name}" for alias in node.names
+                          if alias.name in methods - {"getrandbits"}]
+    assert calls == []
 
 
 def test_the_ci_workflow_runs_no_inline_python():

@@ -1,7 +1,6 @@
 import math
 import random
 from itertools import combinations, islice
-from types import SimpleNamespace
 
 import pytest
 
@@ -17,16 +16,8 @@ from dlfvault.polynomial import (
     subset_interpolants,
 )
 from dlfvault.vault import subset_search
-from helpers import OAKLEY_1024, PowCounter
-
-
-def method_field(field):
-    """The same field as a duck-typed object built from builtin `% p` and
-    `pow(x, -1, p)`, so the kernels take the field-method path: the
-    reference for F_p."""
-    p = field.p
-    return SimpleNamespace(add=lambda a, b: (a + b) % p, sub=lambda a, b: (a - b) % p,
-                           mul=lambda a, b: a * b % p, inv=lambda x: pow(x, -1, p), size=p)
+from helpers import (OAKLEY_1024, GF16Methods, PowCounter, method_eval_poly, method_field,
+                     method_interpolate)
 
 
 def test_eval_worked_example():
@@ -135,10 +126,52 @@ def test_prime_field_kernels_equal_the_field_method_path(bits, params64, params2
         # y values below p, and up to 3p
         for bound in (f.p, 3 * f.p):
             points = [(x, rng.randrange(bound)) for x in xs]
-            assert lagrange_interpolate(f, points) == lagrange_interpolate(reference, points)
+            assert lagrange_interpolate(f, points) == method_interpolate(reference, points)
         on_poly = [(x, eval_poly(f, coeffs, x)) for x in xs]
-        assert on_poly == [(x, eval_poly(reference, coeffs, x)) for x in xs]
+        assert on_poly == [(x, method_eval_poly(reference, coeffs, x)) for x in xs]
         assert lagrange_interpolate(f, on_poly) == coeffs
+
+
+def test_gf16_kernels_equal_the_field_method_path():
+    gf, reference = binary_field(), GF16Methods()
+    rng = random.Random(18)
+    for n in range(0, 41):
+        # zero coefficients anywhere, the top ones included
+        coeffs = [rng.randrange(1 << 16) if rng.randrange(4) else 0 for _ in range(n)]
+        for x in (0, 1, 0xFFFF, rng.randrange(1 << 16)):
+            assert eval_poly(gf, coeffs, x) == method_eval_poly(reference, coeffs, x)
+        # x = 0 among the points, and y values that are 0
+        xs = rng.sample(range(1 << 16), n)
+        if n and rng.randrange(2):
+            xs[rng.randrange(n)] = 0
+        points = [(x, rng.randrange(1 << 16) if rng.randrange(3) else 0) for x in xs]
+        assert lagrange_interpolate(gf, points) == method_interpolate(reference, points)
+        on_poly = [(x, eval_poly(gf, coeffs, x)) for x in xs]
+        assert lagrange_interpolate(gf, on_poly) == coeffs
+    for points in ([(5, 1), (5, 2)], [(0, 1), (7, 2), (0, 3)]):
+        with pytest.raises(ZeroInverse):
+            lagrange_interpolate(gf, points)
+        with pytest.raises(ZeroInverse):
+            method_interpolate(reference, points)
+
+
+@pytest.mark.parametrize("x", [-1, 1 << 16, -(1 << 16), 1 << 80])
+def test_gf16_kernels_refuse_an_x_outside_the_field(x):
+    # the tables would read log[-1] = log[65535], or past their end
+    gf = binary_field()
+    with pytest.raises(ValueError, match=r"GF\(2\^16\) element"):
+        eval_poly(gf, [0, 1], x)
+    with pytest.raises(ValueError, match=r"GF\(2\^16\) element"):
+        lagrange_interpolate(gf, [(3, 4), (x, 1)])
+    with pytest.raises(ValueError, match=r"GF\(2\^16\) element"):
+        lagrange_interpolate(gf, [(3, 4), (1, x)])
+
+
+def test_prime_field_kernels_reduce_any_int_x(params64):
+    p = params64.p
+    coeffs = [3, 1, 4, 1, 5]
+    for x in (-1, -p - 2, p, 5 * p + 7, 1 << 200):
+        assert eval_poly(params64, coeffs, x) == eval_poly(params64, coeffs, x % p)
 
 
 def test_prime_field_interpolation_computes_one_inverse(params256, monkeypatch):
