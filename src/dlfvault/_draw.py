@@ -2,10 +2,10 @@
 
 random.Random's randrange and shuffle reach getrandbits through
 internals that the random module's documentation does not promise to
-keep. Vault layouts and keys are defined on the two functions here
-instead, on one seeded getrandbits stream each. Both follow the rule
-CPython's randrange and shuffle use (_randbelow), so they draw exactly
-what those did.
+keep. Vault layouts, keys and field parameters are defined on the two
+functions here instead, on one seeded getrandbits stream each. Both
+follow the rule CPython's randrange and shuffle use (_randbelow), so
+they draw exactly what those did.
 """
 
 from __future__ import annotations

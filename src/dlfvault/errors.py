@@ -11,15 +11,17 @@ class FuzzyVaultError(Exception):
 
 # field layer
 
-class ZeroInverse(FuzzyVaultError):
-    pass
-
-
 class BadFactorization(FuzzyVaultError):
     pass
 
 
 # polynomial layer
+
+class ZeroInverse(FuzzyVaultError):
+    pass
+
+
+# identity layer
 
 class WrongCount(FuzzyVaultError):
     pass

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
+from . import _draw
 from ._wire import check_end, pack_lpint, read_header, unpack_lpint
 from .errors import BadFactorization, MalformedFile
 
@@ -248,12 +249,13 @@ def gen_params(bits: int, seed: int) -> PrimeField:
     """Deterministically generate a safe prime p of exactly `bits` bits
     and its smallest primitive root.
 
-    p = 2q + 1 with q prime; candidates for q are drawn from a seeded rng,
-    passed through a joint sieve that drops q when q or 2q + 1 has a
-    prime factor below _SIEVE_BOUND = 2^14 (Wiener's combined sieve),
-    filtered with a strong probable-prime round to base 2 on q and then on
-    2q + 1, then proven with the same certificate every loaded field
-    gets. The sieve runs in three stages, cheapest first:
+    p = 2q + 1 with q prime; candidates for q are top + _draw.below(top),
+    made odd, with top = 2^(bits - 2), on Random(seed).getrandbits. Each
+    must pass a joint sieve that drops q when q or 2q + 1 has a prime
+    factor below _SIEVE_BOUND = 2^14 (Wiener's combined sieve), then a
+    strong probable-prime round to base 2 on q and then on 2q + 1, and is
+    then proven with the same certificate every loaded field gets. The
+    sieve runs in three stages, cheapest first:
 
     1. a table lookup of q mod 3*5*7*11*13, which drops about 90% of
        draws;
@@ -279,12 +281,7 @@ def gen_params(bits: int, seed: int) -> PrimeField:
     getrandbits = random.Random(seed).getrandbits
     top = 1 << (bits - 2)
     while True:
-        # randrange(top, 2 * top) inlined: it redraws getrandbits(bits - 1)
-        # while the value is top or more, then adds top
-        q = getrandbits(bits - 1)
-        if q >= top:
-            continue
-        q |= top | 1
+        q = (top + _draw.below(getrandbits, top)) | 1
         if q > _SIEVE_BOUND:
             if not _WHEEL_ALLOWED[q % _WHEEL]:
                 continue

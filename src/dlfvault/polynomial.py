@@ -356,16 +356,9 @@ def rs_decode(field: PrimeField, points: list[tuple[int, int]],
     xs = [x for x, _ in points]
     if m < n or len({x % p for x in xs}) < m:
         return None
-    need = m - (m - n) // 2
     guess, master = _newton_mod_p(p, points[:n])
-    agree, residuals = n, []
-    for x, y in points[n:]:
-        # stop once the count is reached, or out of reach of the points left
-        if agree >= need or agree + m - n - len(residuals) < need:
-            break
-        residuals.append((y - eval_poly(field, guess, x)) % p)
-        agree += not residuals[-1]
-    if agree >= need:
+    residuals = [(y - eval_poly(field, guess, x)) % p for x, y in points[n:]]
+    if n + residuals.count(0) >= m - (m - n) // 2:
         return guess
     # With A the first n points and B the k = m - n others, H interpolates
     # (y - guess(x)) / M_A(x) over B, so guess + M_A * H interpolates all
@@ -374,7 +367,6 @@ def rs_decode(field: PrimeField, points: list[tuple[int, int]],
     # exactly. A step takes r0 to lc(r1) * r0 - lc(r0) * X^d * r1, and v0
     # alike: a nonzero multiple of the usual row, taken with no inverse.
     k, later = m - n, xs[n:]
-    residuals += [(y - eval_poly(field, guess, x)) % p for x, y in points[n + len(residuals):]]
     r1, r0 = _newton_mod_p(p, list(zip(later, residuals)),
                            [eval_poly(field, master, x) for x in later])
     r1 = _trim(r1)
@@ -416,7 +408,6 @@ def crc16_remainder(value: int, bit_len: int) -> int:
     if bit_len < 0 or value < 0 or value.bit_length() > bit_len:
         raise ValueError(f"value does not fit in {bit_len} bits")
     acc = value << 16
-    for i in range(bit_len + 15, 15, -1):
-        if acc >> i & 1:
-            acc ^= CRC16_GENERATOR << (i - 16)
+    while acc >> 16:
+        acc ^= CRC16_GENERATOR << (acc.bit_length() - 17)
     return acc

@@ -81,6 +81,17 @@ def gf16_clmul(a, b):
     return r
 
 
+def crc16_bitwise(value, bit_len):
+    """value * X^16 mod X^16 + X^15 + X^2 + 1 by MSB-first long division,
+    one bit of value per step; the reference crc16_remainder is tested
+    against."""
+    acc = value << 16
+    for i in range(bit_len + 15, 15, -1):
+        if acc >> i & 1:
+            acc ^= 0x18005 << (i - 16)
+    return acc
+
+
 class GF16Methods:
     """GF(2^16) as an object with add/sub/mul/inv methods on the tables of
     binary_field(): the method path polynomial's GF(2^16) kernels replaced,

@@ -128,16 +128,20 @@ def test_no_seed_parameter_has_a_default():
 
 
 def test_no_module_draws_past_getrandbits():
-    # vault layouts and keys are defined on the getrandbits stream alone
-    # (dlfvault._draw); randrange, shuffle and the rest reach it through
-    # internals that may change between Python versions
+    # vault layouts, keys and field parameters are defined on the
+    # getrandbits stream alone, drawn by dlfvault._draw's rule; randrange,
+    # shuffle and the rest reach it through internals that may change
+    # between Python versions. Other modules hand getrandbits to _draw
+    # and never call it themselves
     methods = {name for name in dir(random.Random) if not name.startswith("_")}
     calls = []
     for path, tree in _parsed("src/dlfvault"):
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in methods - {"getrandbits"}):
-                calls.append(f"{path.name}:{node.lineno}: {node.func.attr}")
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                if (isinstance(node.func, ast.Attribute) and name in methods - {"getrandbits"}
+                        or name == "getrandbits" and path.name != "_draw.py"):
+                    calls.append(f"{path.name}:{node.lineno}: {name}")
             elif isinstance(node, ast.ImportFrom) and node.module == "random":
                 calls += [f"{path.name}:{node.lineno}: {alias.name}" for alias in node.names
                           if alias.name in methods - {"getrandbits"}]

@@ -16,8 +16,8 @@ from dlfvault.polynomial import (
     subset_interpolants,
 )
 from dlfvault.vault import subset_search
-from helpers import (OAKLEY_1024, GF16Methods, PowCounter, method_eval_poly, method_field,
-                     method_interpolate)
+from helpers import (OAKLEY_1024, GF16Methods, PowCounter, crc16_bitwise, method_eval_poly,
+                     method_field, method_interpolate)
 
 
 def test_eval_worked_example():
@@ -533,13 +533,6 @@ def test_a_search_that_accepts_a_subset_before_a_repeat_in_its_run_returns(param
 
 # CRC-16
 
-def _gf2_mod(value, modulus):
-    # plain long division over GF(2), the independent oracle
-    while value.bit_length() >= modulus.bit_length():
-        value ^= modulus << (value.bit_length() - modulus.bit_length())
-    return value
-
-
 def test_crc_frozen_value():
     assert CRC16_GENERATOR == 0x18005
     assert crc16_remainder(1, 64) == 0x8005
@@ -552,7 +545,7 @@ def test_crc_matches_long_division_oracle():
     for _ in range(300):
         bit_len = rng.randrange(1, 130)
         value = rng.randrange(1 << bit_len)
-        assert crc16_remainder(value, bit_len) == _gf2_mod(value << 16, 0x18005)
+        assert crc16_remainder(value, bit_len) == crc16_bitwise(value, bit_len)
 
 
 def test_crc_self_check_is_zero():
